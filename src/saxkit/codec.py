@@ -44,9 +44,9 @@ from .series import (
     NormalizationStats,
     PaaSeries,
     TimeSeries,
-    paa,
-    paa_then_znormalize,
-    znormalize,
+    _as_finite_array,
+    _paa_rows,
+    _row_stats,
 )
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "default_normalization",
     "fit",
     "encode",
+    "encoder_space",
     "decode",
     "normalized_series",
     "paa_view",
@@ -225,58 +226,62 @@ def fit(spec: EncoderSpec, training=()) -> TrainedEncoder:
     return TrainedEncoder(spec, modes_to_codebook(modes, density), stats, density)
 
 
-def _as_series(x) -> TimeSeries:
-    return x if isinstance(x, TimeSeries) else TimeSeries(np.asarray(x, dtype=float))
+def _as_row(series) -> np.ndarray:
+    """One series as a one-row stack for :func:`encoder_space`."""
+    x = series.values if isinstance(series, TimeSeries) else series
+    return np.asarray(x, dtype=float)[None]
+
+
+def encoder_space(encoder: TrainedEncoder, rows, reduce: bool = True):
+    """Map a row stack ``X[k, n]`` to the encoder's space in one pass.
+
+    Returns ``(full, reduced, scale)``: the full-length rows in the space the
+    encoder's PAA values live in, their PAA rows (the values it quantizes)
+    and the per-row factor mapping encoder-space distances back to input
+    units.  Each row is normalized with its own statistics.  For
+    PAA-then-normalize the full rows are the raw rows shifted and scaled by
+    the PAA statistics, the unique affine image whose PAA equals the reduced
+    rows (PAA commutes with affine maps).  With ``reduce=False`` the PAA rows
+    are returned only where the normalization needs them (``None`` otherwise),
+    so their length checks do not apply.
+
+    Batch encoding is ``quantize(encoder.codebook, encoder_space(encoder, X)[1])``.
+    """
+    x = _as_finite_array(rows, "rows", ndim=2)
+    mode = encoder.spec.normalization
+    full, reduced, scale = x, None, np.ones((x.shape[0], 1))
+    if mode is NormalizationMode.RAW_ZNORM:
+        mean, scale = _row_stats(x)
+        full = (x - mean) / scale
+    if reduce or mode is NormalizationMode.PAA_ZNORM:
+        reduced = _paa_rows(full, encoder.spec.segments)
+    if mode is NormalizationMode.PAA_ZNORM:
+        mean, scale = _row_stats(reduced)
+        reduced = (reduced - mean) / scale
+        full = (x - mean) / scale
+    return full, reduced, scale[:, 0]
 
 
 def paa_view(encoder: TrainedEncoder, series) -> PaaSeries:
     """The PAA values the encoder quantizes, normalization included."""
-    x = _as_series(series)
-    mode = encoder.spec.normalization
-    m = encoder.spec.segments
-    if mode is NormalizationMode.RAW_ZNORM:
-        normalized, _ = znormalize(x)
-        return paa(normalized, m)
-    if mode is NormalizationMode.PAA_ZNORM:
-        reduced, _ = paa_then_znormalize(x, m)
-        return reduced
-    return paa(x, m)
+    full, reduced, _ = encoder_space(encoder, _as_row(series))
+    return PaaSeries(reduced[0], full.shape[1])
 
 
 def normalized_series(encoder: TrainedEncoder, series) -> TimeSeries:
-    """The full-length series in the space the encoder's PAA values live in.
-
-    For PAA-then-normalize this is the raw series shifted and scaled by the
-    PAA statistics, the unique affine image whose PAA equals the encoder's
-    PAA view (PAA commutes with affine maps).
-    """
-    x = _as_series(series)
-    mode = encoder.spec.normalization
-    if mode is NormalizationMode.RAW_ZNORM:
-        return znormalize(x)[0]
-    if mode is NormalizationMode.PAA_ZNORM:
-        _, stats = paa_then_znormalize(x, encoder.spec.segments)
-        return TimeSeries((x.values - stats.mean) / stats.std)
-    return x
+    """The full-length series in the space the encoder's PAA values live in."""
+    return TimeSeries(encoder_space(encoder, _as_row(series), reduce=False)[0][0])
 
 
 def normalization_scale(encoder: TrainedEncoder, series) -> float:
     """Scale factor mapping encoder-space distances back to the input space."""
-    x = _as_series(series)
-    mode = encoder.spec.normalization
-    if mode is NormalizationMode.RAW_ZNORM:
-        return znormalize(x)[1].std
-    if mode is NormalizationMode.PAA_ZNORM:
-        return paa_then_znormalize(x, encoder.spec.segments)[1].std
-    return 1.0
+    return float(encoder_space(encoder, _as_row(series), reduce=False)[2][0])
 
 
 def encode(encoder: TrainedEncoder, series) -> SymbolicSequence:
     """Normalize per the spec, reduce with PAA, quantize with the codebook."""
-    x = _as_series(series)
-    view = paa_view(encoder, x)
-    symbols = quantize(encoder.codebook, view.values)
-    return SymbolicSequence(symbols, x.values.size, encoder.codebook)
+    full, reduced, _ = encoder_space(encoder, _as_row(series))
+    return SymbolicSequence(quantize(encoder.codebook, reduced[0]), full.shape[1], encoder.codebook)
 
 
 def decode(encoder: TrainedEncoder, sequence: SymbolicSequence) -> TimeSeries:

@@ -24,11 +24,8 @@ from .codec import (
     EncoderSpec,
     EncodingMethod,
     NormalizationMode,
-    TrainedEncoder,
-    encode,
+    encoder_space,
     fit,
-    normalization_scale,
-    normalized_series,
 )
 from .discretize import Codebook, quantize
 from .errors import (
@@ -43,7 +40,7 @@ from .errors import (
     TooShortError,
     ZeroDistanceError,
 )
-from .metrics import dist_error, euclidean, tlb
+from .metrics import _dist_error, _tlb, euclidean
 from .series import TimeSeries, znormalize
 
 __all__ = [
@@ -610,22 +607,22 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
         return records
     for cell_id, n, budget, kappa, segments in grid.cells():
         pool = build_pool(x, n, segments)
-        encoders: dict[EncodingMethod, TrainedEncoder] = {}
+        pairs = [
+            _draw_pair(pool, np.random.default_rng([grid.seed, cell_id, trial]))
+            for trial in range(grid.trials)
+        ]
+        first = np.stack([u.values for u, _ in pairs])
+        second = np.stack([v.values for _, v in pairs])
         for method in methods:
             spec = EncoderSpec(method, segments=segments, kappa=kappa, seed=grid.seed)
             rng_cell = np.random.default_rng([grid.seed, cell_id])
-            train = _training_subset(pool, spec.normalization, rng_cell)
-            encoders[method] = fit(spec, [train])
-        sums = {m: [0.0, 0.0] for m in methods}
-        for trial in range(grid.trials):
-            rng_trial = np.random.default_rng([grid.seed, cell_id, trial])
-            u, v = _draw_pair(pool, rng_trial)
-            for method in methods:
-                enc = encoders[method]
-                sums[method][0] += tlb(u, v, enc)
-                err = dist_error(normalized_series(enc, u), encode(enc, u))
-                sums[method][1] += err * normalization_scale(enc, u)
-        for method in methods:
+            enc = fit(spec, [_training_subset(pool, spec.normalization, rng_cell)])
+            space = encoder_space(enc, first)
+            full, reduced, scale = space
+            tlbs = _tlb(enc, space, encoder_space(enc, second))
+            errs = _dist_error(full, quantize(enc.codebook, reduced), enc.codebook.centroids) * scale
+            # running sums in trial order, so the means equal one-pair scoring's
+            tlb_sum, err_sum = np.cumsum(tlbs)[-1], np.cumsum(errs)[-1]
             records.append(
                 {
                     "length": n,
@@ -633,10 +630,10 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
                     "kappa": kappa,
                     "segments": segments,
                     "method": method.value,
-                    "alphabet": encoders[method].codebook.kappa,
+                    "alphabet": enc.codebook.kappa,
                     "trials": grid.trials,
-                    "tlb_mean": sums[method][0] / grid.trials,
-                    "rmse_mean": sums[method][1] / grid.trials,
+                    "tlb_mean": float(tlb_sum) / grid.trials,
+                    "rmse_mean": float(err_sum) / grid.trials,
                 }
             )
     return records

@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-from .codec import SymbolicSequence, TrainedEncoder, encode, normalized_series, paa_view
+from .codec import SymbolicSequence, TrainedEncoder, _as_row, encoder_space
 from .density import KernelKind, bandwidth_silverman
+from .discretize import quantize
 from .errors import (
     CodebookMismatchError,
     LengthMismatchError,
@@ -53,7 +54,11 @@ def euclidean(u, v) -> float:
     a, b = _values(u), _values(v)
     if a.size != b.size:
         raise LengthMismatchError(f"lengths differ: {a.size} vs {b.size}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+    return float(_euclidean(a.ravel(), b.ravel()))
+
+
+def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum((a - b) ** 2, axis=-1))
 
 
 def _check_same_codebook(a: SymbolicSequence, b: SymbolicSequence):
@@ -92,15 +97,18 @@ def mindist_paa(y: PaaSeries, q: SymbolicSequence) -> float:
             f"shape differs: {y.segments}@{y.source_length} vs "
             f"{q.segments}@{q.source_length}"
         )
-    cut = q.codebook.cutlines
-    edges = np.concatenate(([-np.inf], cut, [np.inf]))
-    lo = edges[q.symbols]
-    hi = edges[q.symbols + 1]
-    below = np.where(lo > y.values, lo - y.values, 0.0)
-    above = np.where(hi < y.values, y.values - hi, 0.0)
-    diff = below + above
     width = y.source_length / y.segments
-    return float(np.sqrt(width * np.sum(diff**2)))
+    return float(_mindist_paa(y.values, q.symbols, q.codebook.cutlines, width))
+
+
+def _mindist_paa(values, symbols, cutlines, width: float) -> np.ndarray:
+    edges = np.concatenate(([-np.inf], cutlines, [np.inf]))
+    lo = edges[symbols]
+    hi = edges[symbols + 1]
+    below = np.where(lo > values, lo - values, 0.0)
+    above = np.where(hi < values, values - hi, 0.0)
+    diff = below + above
+    return np.sqrt(width * np.sum(diff**2, axis=-1))
 
 
 def tlb(u, s, encoder: TrainedEncoder) -> float:
@@ -115,12 +123,21 @@ def tlb(u, s, encoder: TrainedEncoder) -> float:
     ZeroDistanceError
         If the two series coincide in the normalized space.
     """
-    y = paa_view(encoder, u)
-    q = encode(encoder, s)
-    denom = euclidean(normalized_series(encoder, u), normalized_series(encoder, s))
-    if denom == 0.0:
+    u_space, s_space = (encoder_space(encoder, _as_row(x)) for x in (u, s))
+    return float(_tlb(encoder, u_space, s_space)[0])
+
+
+def _tlb(encoder: TrainedEncoder, u_space, s_space) -> np.ndarray:
+    """:func:`tlb` of each row pair, from the two stacks' :func:`encoder_space`."""
+    (full_u, reduced_u, _), (full_s, reduced_s, _) = u_space, s_space
+    if full_u.shape != full_s.shape:
+        raise LengthMismatchError(f"shapes differ: {full_u.shape} vs {full_s.shape}")
+    denom = _euclidean(full_u, full_s)
+    if np.any(denom == 0.0):
         raise ZeroDistanceError("series coincide; the ratio is undefined")
-    return mindist_paa(y, q) / denom
+    codebook = encoder.codebook
+    width = full_u.shape[1] / reduced_u.shape[1]
+    return _mindist_paa(reduced_u, quantize(codebook, reduced_s), codebook.cutlines, width) / denom
 
 
 def dist_symbolic(a: SymbolicSequence, b: SymbolicSequence) -> float:
@@ -139,8 +156,12 @@ def dist_error(u, c: SymbolicSequence) -> float:
         raise LengthMismatchError(
             f"series length {x.size} != encoded source length {c.source_length}"
         )
-    recon = np.repeat(c.codebook.centroids[c.symbols], c.source_length // c.segments)
-    return float(np.sqrt(np.mean((x - recon) ** 2)))
+    return float(_dist_error(x.ravel(), c.symbols, c.codebook.centroids))
+
+
+def _dist_error(x: np.ndarray, symbols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    recon = np.repeat(centroids[symbols], x.shape[-1] // symbols.shape[-1], axis=-1)
+    return np.sqrt(np.mean((x - recon) ** 2, axis=-1))
 
 
 def info_loss_to_std_gaussian(samples, bits: bool = False) -> float:

@@ -29,17 +29,47 @@ __all__ = [
 ]
 
 
-def _as_finite_array(values, name):
+def _as_finite_array(values, name, ndim=1):
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise OutOfRangeError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 1:
+    if arr.ndim != ndim:
+        raise OutOfRangeError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
+    if arr.shape[-1] < 1:
         raise TooShortError(f"{name} must contain at least one value")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise OutOfRangeError(f"{name} must contain only finite values")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population standard deviation of each row, as ``(..., 1)`` arrays.
+
+    The operations are those of ``np.mean``/``np.std`` reduced over the last
+    axis, so a row stack and its rows taken one at a time agree exactly.
+    """
+    n = rows.shape[-1]
+    if n < 2:
+        raise TooShortError("Z-normalization needs at least 2 values")
+    mean = np.add.reduce(rows, axis=-1, keepdims=True) / n
+    dev = rows - mean
+    std = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n)
+    if (std == 0.0).any():
+        raise ConstantSeriesError("cannot Z-normalize a constant series")
+    # a non-finite mean makes the deviation, and with it std, non-finite too
+    if not np.isfinite(std).all():
+        raise OutOfRangeError("normalization stats must be finite")
+    return mean, std
+
+
+def _paa_rows(rows: np.ndarray, segments: int) -> np.ndarray:
+    """Segment means of each row (last axis), the rows' length checked first."""
+    n, m = rows.shape[-1], int(segments)
+    if m < 1 or m > n:
+        raise OutOfRangeError(f"segment count {m} outside [1, {n}]")
+    if n % m != 0:
+        raise IndivisibleLengthError(f"length {n} is not a multiple of {m} segments")
+    return np.add.reduce(rows.reshape(*rows.shape[:-1], m, n // m), axis=-1) / (n // m)
 
 
 @dataclass(frozen=True)
@@ -123,13 +153,8 @@ def znormalize(series: TimeSeries) -> tuple[TimeSeries, NormalizationStats]:
         If the population standard deviation is zero.
     """
     x = series.values
-    if x.size < 2:
-        raise TooShortError("Z-normalization needs at least 2 values")
-    mean = float(np.mean(x))
-    std = float(np.std(x))
-    if std == 0.0:
-        raise ConstantSeriesError("cannot Z-normalize a constant series")
-    return TimeSeries((x - mean) / std), NormalizationStats(mean, std)
+    mean, std = _row_stats(x)
+    return TimeSeries((x - mean) / std), NormalizationStats(float(mean[0]), float(std[0]))
 
 
 def paa(series: TimeSeries, segments: int) -> PaaSeries:
@@ -143,15 +168,7 @@ def paa(series: TimeSeries, segments: int) -> PaaSeries:
         If ``segments`` is not in [1, len(series)].
     """
     x = series.values
-    m = int(segments)
-    if m < 1 or m > x.size:
-        raise OutOfRangeError(f"segment count {m} outside [1, {x.size}]")
-    if x.size % m != 0:
-        raise IndivisibleLengthError(
-            f"length {x.size} is not a multiple of {m} segments"
-        )
-    means = x.reshape(m, x.size // m).mean(axis=1)
-    return PaaSeries(means, x.size)
+    return PaaSeries(_paa_rows(x, segments), x.size)
 
 
 def paa_then_znormalize(

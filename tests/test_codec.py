@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from saxkit.codec import (
     EncoderSpec,
@@ -14,6 +15,7 @@ from saxkit.codec import (
     default_normalization,
     encode,
     encoder_from_json,
+    encoder_space,
     encoder_to_json,
     fit,
     normalization_scale,
@@ -28,11 +30,15 @@ from saxkit.discretize import (
 )
 from saxkit.errors import (
     CodebookMismatchError,
+    ConstantSeriesError,
     EmptyTrainingError,
     IndivisibleLengthError,
     OutOfRangeError,
     SymbolOutOfRangeError,
+    TooShortError,
+    ZeroDistanceError,
 )
+from saxkit.metrics import _dist_error, _tlb, dist_error, tlb
 from saxkit.series import TimeSeries, paa, znormalize
 
 SAX = EncodingMethod.SAX
@@ -210,6 +216,113 @@ class TestEncodeDecode:
             np.testing.assert_array_equal(seq.symbols, reference)
 
         check()
+
+
+def _old_one_series(mode, x, m):
+    """The one-series formulas as they were before the row-stack core:
+    ``np.mean``/``np.std`` of one 1-D series and a reshape-mean PAA."""
+    if mode is NormalizationMode.RAW_ZNORM:
+        full = (x - float(np.mean(x))) / float(np.std(x))
+        return full, full.reshape(m, -1).mean(axis=1), float(np.std(x))
+    reduced = x.reshape(m, -1).mean(axis=1)
+    if mode is NormalizationMode.NONE:
+        return x, reduced, 1.0
+    mean, std = float(np.mean(reduced)), float(np.std(reduced))
+    return (x - mean) / std, (reduced - mean) / std, std
+
+
+RAW, PAA_Z, NONE = NormalizationMode.RAW_ZNORM, NormalizationMode.PAA_ZNORM, NormalizationMode.NONE
+
+# name: (segments, rows with the offending one last, error class per mode)
+BAD_ROWS = {
+    "constant": (4, [np.arange(8.0), np.full(8, 3.0)], {RAW: ConstantSeriesError, PAA_Z: ConstantSeriesError, NONE: None}),
+    "constant segments": (2, [np.arange(8.0), np.array([1.0, 3.0] * 4)], {RAW: None, PAA_Z: ConstantSeriesError, NONE: None}),
+    "too short": (4, [np.array([1.0, 2.0])], dict.fromkeys(NormalizationMode, OutOfRangeError)),
+    "single value": (1, [np.array([5.0])], {RAW: TooShortError, PAA_Z: TooShortError, NONE: None}),
+    "indivisible": (3, [np.arange(8.0), -np.arange(8.0)], dict.fromkeys(NormalizationMode, IndivisibleLengthError)),
+    "non-finite": (2, [np.arange(4.0), np.array([1.0, np.inf, 0.0, 2.0])], dict.fromkeys(NormalizationMode, OutOfRangeError)),
+}
+
+
+class TestEncoderSpace:
+    """The row-stack core against the one-series functions, row by row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        mode=st.sampled_from(list(NormalizationMode)),
+        shape=st.tuples(st.integers(1, 5), st.integers(2, 6), st.integers(1, 6)),
+        kappa=st.integers(2, 8),
+        data=st.data(),
+    )
+    def test_rows_equal_the_one_series_path_exactly(self, mode, shape, kappa, data):
+        k, m, width = shape
+        values = arrays(np.float64, (k, m * width), elements=st.floats(-1e3, 1e3))
+        ramp = np.arange(m * width, dtype=float)  # keeps the rows from being constant
+        first, second = data.draw(values) + ramp, data.draw(values) + ramp
+        enc = fit(EncoderSpec(SAX, m, kappa=kappa, normalization=mode))
+        with np.errstate(all="ignore"):
+            rows = [_old_one_series(mode, x, m) for x in first]
+            assume(all(np.isfinite(_old_one_series(mode, x, m)[0]).all() for x in second))
+        assume(all(np.isfinite(full).all() for full, _, _ in rows))
+        full, reduced, scale = space = encoder_space(enc, first)
+        symbols = quantize(enc.codebook, reduced)
+        for i, (row_full, row_reduced, row_scale) in enumerate(rows):
+            assert np.array_equal(full[i], row_full) and np.array_equal(reduced[i], row_reduced)
+            assert scale[i] == row_scale
+            assert np.array_equal(full[i], normalized_series(enc, first[i]).values)
+            assert np.array_equal(reduced[i], paa_view(enc, first[i]).values)
+            assert scale[i] == normalization_scale(enc, first[i])
+            assert np.array_equal(symbols[i], encode(enc, first[i]).symbols)
+        errs = _dist_error(full, symbols, enc.codebook.centroids) * scale
+        assert errs.tolist() == [
+            dist_error(normalized_series(enc, x), encode(enc, x)) * normalization_scale(enc, x)
+            for x in first
+        ]
+        try:
+            ratios = [tlb(u, v, enc) for u, v in zip(first, second)]
+        except ZeroDistanceError:  # a pair coincides in the encoder's space
+            with pytest.raises(ZeroDistanceError):
+                _tlb(enc, space, encoder_space(enc, second))
+        else:
+            assert _tlb(enc, space, encoder_space(enc, second)).tolist() == ratios
+
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    @pytest.mark.parametrize("name", list(BAD_ROWS))
+    def test_bad_rows_raise_the_one_series_error(self, mode, name):
+        segments, rows, errors = BAD_ROWS[name]
+        enc = fit(EncoderSpec(SAX, segments, kappa=4, normalization=mode))
+        if errors[mode] is None:
+            paa_view(enc, rows[-1])
+            encoder_space(enc, np.stack(rows))
+            return
+        with pytest.raises(errors[mode]):
+            paa_view(enc, rows[-1])
+        with pytest.raises(errors[mode]):
+            encode(enc, rows[-1])
+        with pytest.raises(errors[mode]):
+            encoder_space(enc, np.stack(rows))
+
+    @pytest.mark.parametrize("mode", [RAW, NONE])
+    def test_full_rows_skip_the_paa_checks(self, mode):
+        # normalized_series and normalization_scale never reduced the series
+        # under these modes, so a length the segments do not divide is fine
+        enc = fit(EncoderSpec(SAX, 3, kappa=4, normalization=mode))
+        x = np.arange(8.0) ** 2
+        full, reduced, scale = encoder_space(enc, x[None], reduce=False)
+        assert reduced is None
+        assert np.array_equal(normalized_series(enc, x).values, full[0])
+        assert normalization_scale(enc, x) == scale[0]
+        with pytest.raises(IndivisibleLengthError):
+            encoder_space(enc, x[None])
+
+    def test_rows_must_form_a_2d_stack(self):
+        enc = fit(EncoderSpec(SAX, 2, kappa=4))
+        with pytest.raises(OutOfRangeError):
+            encoder_space(enc, np.arange(4.0))
+        with pytest.raises(OutOfRangeError):
+            encode(enc, np.ones((2, 4)))
+        with pytest.raises(TooShortError):
+            encoder_space(enc, np.empty((1, 0)))
 
 
 class TestSymbolicSequence:
