@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammaincc, gammaincinv
 
 from .density import DensityModel, KernelKind, bandwidth_gradient
 from .discretize import Codebook, quantize
@@ -50,6 +49,7 @@ __all__ = [
     "DetectionEvent",
     "gof_step",
     "run_detector",
+    "block_means",
     "CsaxResult",
     "run_csax_detector",
     "window_scores",
@@ -122,19 +122,12 @@ def gof_statistic(window: EmpiricalPmf, component: EmpiricalPmf) -> float:
 
 
 def chi2_quantile(p: float, dof: int) -> float:
-    """Inverse chi-square CDF by regularized incomplete gamma plus bracketed roots."""
+    """Inverse chi-square CDF: twice the inverse regularized lower incomplete gamma."""
     if not 0.0 < p < 1.0:
         raise OutOfRangeError(f"probability must be in (0, 1), got {p}")
     if dof < 1:
         raise OutOfRangeError(f"degrees of freedom must be >= 1, got {dof}")
-
-    def cdf(x):
-        return gammainc(dof / 2.0, x / 2.0)
-
-    hi = dof + 10.0 * math.sqrt(2.0 * dof) + 10.0
-    while cdf(hi) < p:
-        hi *= 2.0
-    return float(brentq(lambda x: cdf(x) - p, 0.0, hi, xtol=1e-12))
+    return 2.0 * float(gammaincinv(dof / 2.0, p))
 
 
 @dataclass(frozen=True)
@@ -242,6 +235,21 @@ def run_detector(symbols, config: DetectorConfig = DetectorConfig()) -> list[Det
     return events
 
 
+def block_means(values, paa_ratio: float) -> tuple[np.ndarray, int]:
+    """Means of the complete blocks of ``1/paa_ratio`` values, and that block length.
+
+    The ratio must be ``1/m`` for an integer ``m``; trailing values that do
+    not fill a block are dropped.
+    """
+    if not 0.0 < paa_ratio <= 1.0:
+        raise InvalidParamsError(f"PAA ratio must be in (0, 1], got {paa_ratio}")
+    block = round(1.0 / paa_ratio)
+    if abs(1.0 / paa_ratio - block) > 1e-9:
+        raise InvalidParamsError(f"PAA ratio must be 1/m for integer m, got {paa_ratio}")
+    x = np.asarray(values, dtype=float).ravel()
+    return x[: x.size // block * block].reshape(-1, block).mean(axis=1), block
+
+
 @dataclass
 class CsaxResult:
     """Events plus the final clustering state of one cSAX detector run."""
@@ -260,6 +268,14 @@ def _csax_codebook(samples: np.ndarray) -> Codebook:
     h = bandwidth_gradient(KernelKind.GAUSSIAN, sd, samples.size)
     modes = mean_shift_modes(samples, h)
     return modes_to_codebook(modes, DensityModel(samples, KernelKind.GAUSSIAN, h))
+
+
+def _null_set(codebook: Codebook, windows) -> NullHypothesisSet:
+    """The stored windows' pmfs under one codebook."""
+    null_set = NullHypothesisSet()
+    for w in windows:
+        null_set.add(empirical_pmf(quantize(codebook, w), codebook.kappa))
+    return null_set
 
 
 def run_csax_detector(
@@ -292,39 +308,25 @@ def run_csax_detector(
     x = np.asarray(values, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise OutOfRangeError("stream values must be finite")
-    if not 0.0 < paa_ratio <= 1.0:
-        raise InvalidParamsError(f"PAA ratio must be in (0, 1], got {paa_ratio}")
-    block = round(1.0 / paa_ratio)
-    if abs(1.0 / paa_ratio - block) > 1e-9:
-        raise InvalidParamsError(f"PAA ratio must be 1/m for integer m, got {paa_ratio}")
-    usable = (x.size // block) * block
-    reduced = x[:usable].reshape(-1, block).mean(axis=1)
+    reduced, _ = block_means(x, paa_ratio)
     n = config.window
     if reduced.size < n:
         raise StreamTooShortError(f"{reduced.size} blocks < window {n}")
 
     state = DynamicClusterState()
-    null_set = NullHypothesisSet()
     raw_windows: list[np.ndarray] = []
     thresholds: dict[int, float] = {}
     pre = np.asarray(pretraining, dtype=float).ravel()
     if pre.size:
-        usable_pre = (pre.size // block) * block
-        pre_reduced = pre[:usable_pre].reshape(-1, block).mean(axis=1)
+        pre_reduced, _ = block_means(pre, paa_ratio)
         state.observe_many(pre_reduced)
         state.codebook = _csax_codebook(state.samples())
         if pre_reduced.size >= n:
-            kappa = state.codebook.kappa
-            thresholds[kappa] = chi2_quantile(1.0 - config.alpha, kappa - 1)
-            pre_sym = quantize(state.codebook, pre_reduced)
-            counts = np.bincount(pre_sym[:n], minlength=kappa)
-            for j in range(n - 1, pre_reduced.size):
-                if j > n - 1:
-                    counts[pre_sym[j]] += 1
-                    counts[pre_sym[j - n]] -= 1
-                ev = gof_step(null_set, EmpiricalPmf(counts.copy()), thresholds[kappa], index=j)
+            pre_config = replace(config, kappa=state.codebook.kappa)
+            for ev in run_detector(quantize(state.codebook, pre_reduced), pre_config):
                 if ev.anomalous:
-                    raw_windows.append(pre_reduced[j - n + 1 : j + 1].copy())
+                    raw_windows.append(pre_reduced[ev.index - n + 1 : ev.index + 1].copy())
+    null_set = _null_set(state.codebook, raw_windows)
     built_at = state.count if state.codebook is not None else -1
 
     events: list[DetectionEvent] = []
@@ -356,9 +358,7 @@ def run_csax_detector(
             state.codebook = _csax_codebook(state.samples())
             built_at = state.count
             rebuilds += 1
-            null_set = NullHypothesisSet()
-            for w in raw_windows:
-                null_set.add(empirical_pmf(quantize(state.codebook, w), state.codebook.kappa))
+            null_set = _null_set(state.codebook, raw_windows)
     return CsaxResult(events, state, rebuilds)
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .anomaly import DetectorConfig, run_csax_detector
+from .anomaly import DetectorConfig, block_means, run_csax_detector
 from .codec import (
     EncoderSpec,
     EncodingMethod,
@@ -212,7 +212,7 @@ def _cmd_roc(args) -> int:
     events, labels, config = _run_configured_detector(args)
     if labels is None:
         raise ParseError("ROC needs a labeled input (value,label rows)")
-    block = round(1.0 / args.paa_ratio)
+    _, block = block_means((), args.paa_ratio)
     curve = roc_from_events(events, labels, config.window, block=block)
     write_roc_csv(_out_stream(args.out), curve)
     print(f"auc={curve.auc!r}", file=sys.stderr)

@@ -25,7 +25,6 @@ __all__ = [
     "kernel_eval",
     "bandwidth_silverman",
     "bandwidth_gradient",
-    "kde_evaluate",
     "kde_cdf",
     "kde_cell_moments",
 ]
@@ -145,11 +144,6 @@ def _pdf_windowed(model: DensityModel, points: np.ndarray) -> np.ndarray:
         hi = int(np.searchsorted(srt, pts[-1] + radius, side="right"))
         out[idx] = _pdf_block(model, pts, lo, hi)
     return out
-
-
-def kde_evaluate(model: DensityModel, x) -> float:
-    """Density estimate at ``x``; non-negative by construction."""
-    return model.pdf(x)
 
 
 def _kernel_cdf(kind: KernelKind, u: np.ndarray) -> np.ndarray:

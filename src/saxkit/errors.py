@@ -54,10 +54,6 @@ class SymbolOutOfRangeError(SaxkitError, ValueError):
     """Symbol index outside [0, kappa)."""
 
 
-class EmptyNeighborhoodError(SaxkitError, ValueError):
-    """No sample carries weight at the query point (finite-support profiles only)."""
-
-
 class LengthMismatchError(SaxkitError, ValueError):
     """Operands have different lengths."""
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .anomaly import (
     DetectionEvent,
     DetectorConfig,
+    block_means,
     run_detector,
 )
 from .codec import (
@@ -336,6 +336,8 @@ def write_roc_csv(path, curve: RocCurve) -> None:
 
 
 def _gen_ar1(length: int, rng, phi: float) -> np.ndarray:
+    from scipy.signal import lfilter  # imported here: scipy.signal is slow to load
+
     if not abs(phi) < 1.0:
         raise InvalidParamsError(f"AR(1) coefficient must satisfy |phi| < 1, got {phi}")
     shocks = rng.standard_normal(length)
@@ -748,14 +750,7 @@ def run_fixed_detector(
     sd = float(np.std(x))
     if sd == 0.0:
         raise ConstantSeriesError("stream is constant; cannot normalize")
-    z = (x - float(np.mean(x))) / sd
-    if not 0.0 < paa_ratio <= 1.0:
-        raise InvalidParamsError(f"PAA ratio must be in (0, 1], got {paa_ratio}")
-    block = round(1.0 / paa_ratio)
-    if abs(1.0 / paa_ratio - block) > 1e-9:
-        raise InvalidParamsError(f"PAA ratio must be 1/m for integer m, got {paa_ratio}")
-    usable = (z.size // block) * block
-    reduced = z[:usable].reshape(-1, block).mean(axis=1)
+    reduced, _ = block_means((x - float(np.mean(x))) / sd, paa_ratio)
 
     spec = EncoderSpec(method, segments=1, kappa=config.kappa, normalization=NormalizationMode.NONE, seed=seed)
     rng = np.random.default_rng([seed])

@@ -264,3 +264,18 @@ def test_console_entry_point():
     installed = shutil.which("saxkit")
     if installed is not None:
         _assert_help(subprocess.run([installed, "--help"], capture_output=True, text=True))
+
+
+def test_import_skips_the_slow_scipy_subpackages():
+    # Every CLI call pays for ``import saxkit``; scipy.signal, scipy.optimize
+    # and scipy.stats take most of a second to load and the package needs
+    # none of them up front.
+    package_root = str(Path(saxkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    probe = "import sys, saxkit; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "saxkit.harness" in loaded
+    assert not {"scipy.signal", "scipy.optimize", "scipy.stats"} & loaded

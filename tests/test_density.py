@@ -13,7 +13,6 @@ from saxkit.density import (
     bandwidth_silverman,
     kde_cdf,
     kde_cell_moments,
-    kde_evaluate,
     kernel_eval,
 )
 from saxkit.errors import NonPositiveScaleError, OutOfRangeError, TooShortError
@@ -157,10 +156,6 @@ class TestDensityModel:
         lo = model.samples.min() - model.support_radius
         hi = model.samples.max() + model.support_radius
         assert quad_integral(model, lo, hi) == pytest.approx(1.0, abs=1e-6)
-
-    def test_kde_evaluate_alias(self):
-        model = DensityModel(np.array([0.0, 2.0]), GAU, 1.0)
-        assert kde_evaluate(model, 1.0) == model.pdf(1.0)
 
 
 class TestKdeCdf:
