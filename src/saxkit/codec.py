@@ -40,14 +40,7 @@ from .errors import (
     SymbolOutOfRangeError,
 )
 from .meanshift import mean_shift_modes, modes_to_codebook
-from .series import (
-    NormalizationStats,
-    PaaSeries,
-    TimeSeries,
-    _as_finite_array,
-    _paa_rows,
-    _row_stats,
-)
+from .series import NormalizationStats, PaaSeries, TimeSeries, _as_finite_array, _paa_rows, _row_stats
 
 __all__ = [
     "EncodingMethod",
@@ -233,19 +226,15 @@ def _as_row(series) -> np.ndarray:
 
 
 def encoder_space(encoder: TrainedEncoder, rows, reduce: bool = True):
-    """Map a row stack ``X[k, n]`` to the encoder's space in one pass.
+    """Map a row stack ``X[k, n]``, each row normalized on its own, to the encoder's space.
 
-    Returns ``(full, reduced, scale)``: the full-length rows in the space the
-    encoder's PAA values live in, their PAA rows (the values it quantizes)
-    and the per-row factor mapping encoder-space distances back to input
-    units.  Each row is normalized with its own statistics.  For
-    PAA-then-normalize the full rows are the raw rows shifted and scaled by
-    the PAA statistics, the unique affine image whose PAA equals the reduced
-    rows (PAA commutes with affine maps).  With ``reduce=False`` the PAA rows
-    are returned only where the normalization needs them (``None`` otherwise),
-    so their length checks do not apply.
-
-    Batch encoding is ``quantize(encoder.codebook, encoder_space(encoder, X)[1])``.
+    Returns ``(full, reduced, scale)``: the full-length rows, their PAA rows
+    (the values the encoder quantizes, so batch encoding is
+    ``quantize(encoder.codebook, reduced)``) and the per-row factor mapping
+    encoder-space distances back to input units.  Under PAA-then-normalize
+    the full rows are the raw rows shifted and scaled by the PAA statistics,
+    whose PAA is exactly ``reduced``.  ``reduce=False`` skips the PAA rows
+    (``None``) and their length checks where the mode does not need them.
     """
     x = _as_finite_array(rows, "rows", ndim=2)
     mode = encoder.spec.normalization

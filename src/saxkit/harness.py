@@ -532,13 +532,18 @@ def build_pool(corpus, length: int, segments: int) -> SubsequencePool:
     width = length // segments
     count = x.size - length + 1
 
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    csq = np.concatenate(([0.0], np.cumsum(x * x)))
+    # centred first: prefix sums of x and x*x cancel badly under a large offset,
+    # and leave rounding noise in a constant window's variance, so constant
+    # windows are found by counting value changes instead
+    centred = x - np.mean(x)
+    csum = np.concatenate(([0.0], np.cumsum(centred)))
+    csq = np.concatenate(([0.0], np.cumsum(centred * centred)))
+    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
     starts = np.arange(count)
     means = (csum[starts + length] - csum[starts]) / length
     variances = (csq[starts + length] - csq[starts]) / length - means**2
     stds = np.sqrt(np.maximum(variances, 0.0))
-    valid = stds > 0.0
+    valid = (stds > 0.0) & (changes[starts + length - 1] > changes[starts])
 
     edges = starts[:, None] + np.arange(segments + 1)[None, :] * width
     segment_means = (csum[edges[:, 1:]] - csum[edges[:, :-1]]) / width
@@ -705,14 +710,13 @@ def window_labels(labels, window: int, indices, block: int = 1) -> np.ndarray:
     """
     labs = np.asarray(labels).ravel().astype(bool)
     csum = np.concatenate(([0], np.cumsum(labs)))
-    out = np.zeros(len(indices), dtype=bool)
-    for k, idx in enumerate(indices):
-        lo = (int(idx) - window + 1) * block
-        hi = min((int(idx) + 1) * block, labs.size)
-        if lo < 0 or lo >= hi:
-            raise OutOfRangeError(f"window at block {idx} outside the label range")
-        out[k] = csum[hi] - csum[lo] > 0
-    return out
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    lo = (idx - window + 1) * block
+    hi = np.minimum((idx + 1) * block, labs.size)
+    outside = (lo < 0) | (lo >= hi)
+    if outside.any():
+        raise OutOfRangeError(f"window at block {idx[outside][0]} outside the label range")
+    return csum[hi] - csum[lo] > 0
 
 
 def roc_from_events(events, labels, window: int, block: int = 1) -> RocCurve:

@@ -43,11 +43,8 @@ def _as_finite_array(values, name, ndim=1):
 
 
 def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population standard deviation of each row, as ``(..., 1)`` arrays.
-
-    The operations are those of ``np.mean``/``np.std`` reduced over the last
-    axis, so a row stack and its rows taken one at a time agree exactly.
-    """
+    """Mean and population std of each row as ``(..., 1)`` arrays, computed
+    as ``np.mean``/``np.std`` do, so a stack and its single rows agree exactly."""
     n = rows.shape[-1]
     if n < 2:
         raise TooShortError("Z-normalization needs at least 2 values")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saxkit.anomaly import DetectionEvent, DetectorConfig
 from saxkit.codec import EncodingMethod
@@ -290,6 +292,31 @@ class TestSubsequencePool:
         pool = build_pool(corpus, 20, 4)
         assert not pool.valid[60]
         assert pool.valid[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        offset=st.floats(-1e8, 1e8),
+        seed=st.integers(0, 2**16),
+        shape=st.sampled_from([(16, 4), (24, 6), (30, 10)]),
+    )
+    def test_frames_hold_under_large_offsets(self, offset, seed, shape):
+        # prefix sums of the raw values lose the window variance to
+        # cancellation once the offset dwarfs the noise
+        length, segments = shape
+        corpus = np.random.default_rng(seed).standard_normal(600) + offset
+        pool = build_pool(corpus, length, segments)
+        valid, frames = [], []
+        for s in range(pool.count):
+            try:
+                z, _ = znormalize(TimeSeries(corpus[s : s + length]))
+            except ConstantSeriesError:
+                valid.append(False)
+                frames.append(np.zeros(segments))
+                continue
+            frames.append(paa(z, segments).values)
+            valid.append(bool(np.any(frames[-1] != 0.0)))
+        np.testing.assert_array_equal(pool.valid, valid)
+        np.testing.assert_allclose(pool.frames[pool.valid], np.array(frames)[valid], rtol=0, atol=1e-6)
 
     def test_window_accessor_matches_frames(self):
         rng = np.random.default_rng(7)
