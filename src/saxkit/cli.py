@@ -19,7 +19,6 @@ from .codec import (
     EncoderSpec,
     EncodingMethod,
     NormalizationMode,
-    SymbolicSequence,
     encode,
     encoder_from_json,
     encoder_to_json,
@@ -56,6 +55,15 @@ def _csv_ints(text: str) -> tuple:
 
 def _out_stream(path):
     return sys.stdout if path is None else path
+
+
+def _write_text(path, text: str) -> None:
+    """One line of text to the ``--out`` path, or to stdout."""
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _sniff_columns(path) -> int:
@@ -141,27 +149,14 @@ def _cmd_fit(args) -> int:
         normalization=normalization,
         seed=args.seed,
     )
-    encoder = fit(spec, [pool])
-    text = encoder_to_json(encoder)
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_text(args.out, encoder_to_json(fit(spec, [pool])))
     return 0
 
 
 def _cmd_encode(args) -> int:
     with open(args.encoder, "r", encoding="utf-8") as fh:
         encoder = encoder_from_json(fh.read())
-    series = load_series_csv(args.input)
-    sequence: SymbolicSequence = encode(encoder, series)
-    text = sequence.to_json()
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_text(args.out, encode(encoder, load_series_csv(args.input)).to_json())
     return 0
 
 
@@ -200,9 +195,7 @@ def _cmd_tlb_rmse(args) -> int:
 def _cmd_detect(args) -> int:
     events, _, _ = _run_configured_detector(args)
     if args.out is not None and str(args.out).endswith(".json"):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_events_payload(events), fh)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(_events_payload(events)))
     else:
         write_events_csv(_out_stream(args.out), events)
     return 0
@@ -359,10 +352,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except SaxkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SaxkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,19 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .anomaly import (
-    DetectionEvent,
-    DetectorConfig,
-    block_means,
-    run_detector,
-)
-from .codec import (
-    EncoderSpec,
-    EncodingMethod,
-    NormalizationMode,
-    encoder_space,
-    fit,
-)
+from .anomaly import DetectionEvent, DetectorConfig, block_means, run_detector
+from .codec import EncoderSpec, EncodingMethod, NormalizationMode, encoder_space, fit
 from .discretize import Codebook, quantize
 from .errors import (
     ConstantSeriesError,
@@ -532,9 +521,8 @@ def build_pool(corpus, length: int, segments: int) -> SubsequencePool:
     width = length // segments
     count = x.size - length + 1
 
-    # centred first: prefix sums of x and x*x cancel badly under a large offset,
-    # and leave rounding noise in a constant window's variance, so constant
-    # windows are found by counting value changes instead
+    # prefix sums of raw x and x*x cancel under a large offset, hence centring;
+    # constant windows are found by counting value changes, not by variance
     centred = x - np.mean(x)
     csum = np.concatenate(([0.0], np.cumsum(centred)))
     csq = np.concatenate(([0.0], np.cumsum(centred * centred)))

@@ -53,8 +53,7 @@ def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n)
     if (std == 0.0).any():
         raise ConstantSeriesError("cannot Z-normalize a constant series")
-    # a non-finite mean makes the deviation, and with it std, non-finite too
-    if not np.isfinite(std).all():
+    if not np.isfinite(std).all():  # a non-finite mean makes std non-finite too
         raise OutOfRangeError("normalization stats must be finite")
     return mean, std
 
