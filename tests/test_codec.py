@@ -235,12 +235,28 @@ RAW, PAA_Z, NONE = NormalizationMode.RAW_ZNORM, NormalizationMode.PAA_ZNORM, Nor
 
 # name: (segments, rows with the offending one last, error class per mode)
 BAD_ROWS = {
-    "constant": (4, [np.arange(8.0), np.full(8, 3.0)], {RAW: ConstantSeriesError, PAA_Z: ConstantSeriesError, NONE: None}),
-    "constant segments": (2, [np.arange(8.0), np.array([1.0, 3.0] * 4)], {RAW: None, PAA_Z: ConstantSeriesError, NONE: None}),
+    "constant": (
+        4,
+        [np.arange(8.0), np.full(8, 3.0)],
+        {RAW: ConstantSeriesError, PAA_Z: ConstantSeriesError, NONE: None},
+    ),
+    "constant segments": (
+        2,
+        [np.arange(8.0), np.array([1.0, 3.0] * 4)],
+        {RAW: None, PAA_Z: ConstantSeriesError, NONE: None},
+    ),
     "too short": (4, [np.array([1.0, 2.0])], dict.fromkeys(NormalizationMode, OutOfRangeError)),
     "single value": (1, [np.array([5.0])], {RAW: TooShortError, PAA_Z: TooShortError, NONE: None}),
-    "indivisible": (3, [np.arange(8.0), -np.arange(8.0)], dict.fromkeys(NormalizationMode, IndivisibleLengthError)),
-    "non-finite": (2, [np.arange(4.0), np.array([1.0, np.inf, 0.0, 2.0])], dict.fromkeys(NormalizationMode, OutOfRangeError)),
+    "indivisible": (
+        3,
+        [np.arange(8.0), -np.arange(8.0)],
+        dict.fromkeys(NormalizationMode, IndivisibleLengthError),
+    ),
+    "non-finite": (
+        2,
+        [np.arange(4.0), np.array([1.0, np.inf, 0.0, 2.0])],
+        dict.fromkeys(NormalizationMode, OutOfRangeError),
+    ),
 }
 
 
