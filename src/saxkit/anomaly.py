@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaincc, gammaincinv
 
-from .density import DensityModel, KernelKind, bandwidth_gradient
 from .discretize import Codebook, quantize
 from .errors import (
     AlphabetMismatchError,
@@ -31,12 +30,7 @@ from .errors import (
     SymbolOutOfRangeError,
     WindowLengthMismatchError,
 )
-from .meanshift import (
-    DynamicClusterState,
-    dynamic_update_check,
-    mean_shift_modes,
-    modes_to_codebook,
-)
+from .meanshift import DynamicClusterState, dynamic_update_check, mean_shift_codebook
 
 __all__ = [
     "EmpiricalPmf",
@@ -101,15 +95,26 @@ def _masses(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
+def _log(masses: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(masses)
+
+
+def _kl_rows(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """``sum p * (ln p - ln q)`` over the cells where ``p > 0``, against each row
+    of ``log_q``.  Differencing the logs cell by cell, not subtracting a cross
+    term from a self term, makes a row equal to ``ln p`` score exactly 0; a
+    row missing part of ``p``'s support scores +inf."""
+    on = p > 0.0
+    return (p[on] * (np.log(p[on]) - log_q[..., on])).sum(axis=-1)
+
+
 def kl_divergence(p, q) -> float:
     """``sum p * ln(p/q)`` in nats with ``0 ln 0 = 0``; infinite on support mismatch."""
     pm, qm = _masses(p), _masses(q)
     if pm.size != qm.size:
         raise AlphabetMismatchError(f"alphabet sizes differ: {pm.size} vs {qm.size}")
-    on = pm > 0.0
-    if np.any(qm[on] == 0.0):
-        return math.inf
-    return float(np.sum(pm[on] * np.log(pm[on] / qm[on])))
+    return float(_kl_rows(pm, _log(qm)))
 
 
 def gof_statistic(window: EmpiricalPmf, component: EmpiricalPmf) -> float:
@@ -150,7 +155,7 @@ class NullHypothesisSet:
 
     def __init__(self):
         self._components: list[EmpiricalPmf] = []
-        self._log_masses: np.ndarray | None = None
+        self._log_masses: np.ndarray | None = None  # one row per component
 
     def __len__(self):
         return len(self._components)
@@ -160,23 +165,15 @@ class NullHypothesisSet:
         return tuple(self._components)
 
     def add(self, pmf: EmpiricalPmf) -> None:
+        row = _log(pmf.masses)[None]
         self._components.append(pmf)
-        self._log_masses = None
+        self._log_masses = row if self._log_masses is None else np.vstack((self._log_masses, row))
 
     def min_statistic(self, window: EmpiricalPmf) -> float:
         """Smallest statistic against any stored component; +inf when empty."""
         if not self._components:
             return math.inf
-        if self._log_masses is None:
-            stacked = np.stack([c.masses for c in self._components])
-            with np.errstate(divide="ignore"):
-                self._log_masses = np.log(stacked)
-        p = window.masses
-        on = p > 0.0
-        self_term = float(np.sum(p[on] * np.log(p[on])))
-        cross = self._log_masses[:, on] @ p[on]
-        stats = 2.0 * window.window * (self_term - cross)
-        return float(np.min(stats))
+        return 2.0 * window.window * float(_kl_rows(window.masses, self._log_masses).min())
 
 
 @dataclass(frozen=True)
@@ -214,6 +211,23 @@ def gof_step(
     )
 
 
+def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, start: int):
+    """Decide the windows of ``config.window`` symbols ending at ``start``,
+    ``start + 1``, ... of ``sym`` against ``null_set``, one event per window.
+
+    Counts roll by one symbol per step.  The caller may stop between windows,
+    e.g. to change the codebook, and re-enter with a fresh stream.
+    """
+    n = config.window
+    threshold = chi2_quantile(1.0 - config.alpha, kappa - 1)
+    counts = np.bincount(sym[start - n + 1 : start + 1], minlength=kappa)
+    for i in range(start, sym.size):
+        if i > start:
+            counts[sym[i]] += 1
+            counts[sym[i - n]] -= 1
+        yield gof_step(null_set, EmpiricalPmf(counts.copy()), threshold, index=i)
+
+
 def run_detector(symbols, config: DetectorConfig = DetectorConfig()) -> list[DetectionEvent]:
     """Roll a window over a fixed-alphabet symbol stream, one step at a time."""
     sym = np.asarray(symbols).astype(np.int64)
@@ -222,17 +236,7 @@ def run_detector(symbols, config: DetectorConfig = DetectorConfig()) -> list[Det
         raise StreamTooShortError(f"stream of {sym.size} symbols < window {n}")
     if sym.min() < 0 or sym.max() >= config.kappa:
         raise SymbolOutOfRangeError(f"symbols outside [0, {config.kappa})")
-    threshold = chi2_quantile(1.0 - config.alpha, config.kappa - 1)
-    null_set = NullHypothesisSet()
-    counts = np.bincount(sym[:n], minlength=config.kappa)
-    events = []
-    for i in range(n - 1, sym.size):
-        if i > n - 1:
-            counts[sym[i]] += 1
-            counts[sym[i - n]] -= 1
-        pmf = EmpiricalPmf(counts.copy())
-        events.append(gof_step(null_set, pmf, threshold, index=i))
-    return events
+    return list(_rolling(sym, config.kappa, config, NullHypothesisSet(), n - 1))
 
 
 def block_means(values, paa_ratio: float) -> tuple[np.ndarray, int]:
@@ -263,21 +267,6 @@ class CsaxResult:
         return self.state.codebook
 
 
-def _csax_codebook(samples: np.ndarray) -> Codebook:
-    sd = float(np.std(samples))
-    h = bandwidth_gradient(KernelKind.GAUSSIAN, sd, samples.size)
-    modes = mean_shift_modes(samples, h)
-    return modes_to_codebook(modes, DensityModel(samples, KernelKind.GAUSSIAN, h))
-
-
-def _null_set(codebook: Codebook, windows) -> NullHypothesisSet:
-    """The stored windows' pmfs under one codebook."""
-    null_set = NullHypothesisSet()
-    for w in windows:
-        null_set.add(empirical_pmf(quantize(codebook, w), codebook.kappa))
-    return null_set
-
-
 def run_csax_detector(
     values,
     config: DetectorConfig = DetectorConfig(),
@@ -287,15 +276,16 @@ def run_csax_detector(
     """Detector with a self-adjusting mean-shift codebook on a raw stream.
 
     Raw values are block-averaged per ``paa_ratio`` (one symbol per ``1/ratio``
-    raw samples; trailing partial blocks are dropped), quantized with the
-    current codebook, and fed through the rolling goodness-of-fit test with
-    the alphabet size the codebook currently has (``config.kappa`` is not
-    used).  After each window decision the clustering is re-estimated from all
-    samples seen whenever the window was flagged or the newest sample fell
-    outside the observed range widened by the smoothness scale; stored
-    windows keep their raw values and are re-expressed under each new
-    codebook.  With empty pretraining the first codebook comes from the first
-    ``window`` samples and the first window is always anomalous.
+    raw samples; trailing partial blocks are dropped), quantized once per
+    codebook, and fed through the rolling goodness-of-fit test with the
+    alphabet size the codebook has (``config.kappa`` is not used).  After each
+    window decision the clustering is re-estimated from all samples seen
+    whenever the window was flagged or the newest sample fell outside the
+    observed range widened by the smoothness scale; the rolling counts then
+    restart under the new codebook, and stored windows keep their raw values
+    and are re-expressed under it.  With empty pretraining the first codebook
+    comes from the first ``window`` samples and the first window is always
+    anomalous.
 
     Non-empty pretraining both fits the initial codebook and seeds the null
     hypothesis set by rolling the window over the pretraining blocks (no
@@ -314,51 +304,47 @@ def run_csax_detector(
         raise StreamTooShortError(f"{reduced.size} blocks < window {n}")
 
     state = DynamicClusterState()
-    raw_windows: list[np.ndarray] = []
-    thresholds: dict[int, float] = {}
+    null_set = NullHypothesisSet()
+    flagged: list[np.ndarray] = []  # raw values of the stored windows
     pre = np.asarray(pretraining, dtype=float).ravel()
     if pre.size:
         pre_reduced, _ = block_means(pre, paa_ratio)
         state.observe_many(pre_reduced)
-        state.codebook = _csax_codebook(state.samples())
+        state.codebook, _ = mean_shift_codebook(state.samples())
         if pre_reduced.size >= n:
-            pre_config = replace(config, kappa=state.codebook.kappa)
-            for ev in run_detector(quantize(state.codebook, pre_reduced), pre_config):
-                if ev.anomalous:
-                    raw_windows.append(pre_reduced[ev.index - n + 1 : ev.index + 1].copy())
-    null_set = _null_set(state.codebook, raw_windows)
-    built_at = state.count if state.codebook is not None else -1
+            sym = quantize(state.codebook, pre_reduced)
+            for event in _rolling(sym, state.codebook.kappa, config, null_set, n - 1):
+                if event.anomalous:
+                    flagged.append(pre_reduced[event.index - n + 1 : event.index + 1])
+        built_at = state.count
+    else:  # cold start: the first window's samples give the first codebook
+        state.codebook, _ = mean_shift_codebook(reduced[:n])
+        built_at = n
+    state.observe_many(reduced[: n - 1])
 
     events: list[DetectionEvent] = []
     rebuilds = 0
-    for i in range(reduced.size):
-        sample = float(reduced[i])
-        if i < n - 1:
-            state.observe(sample)
-            continue
-        range_hit = state.codebook is not None and dynamic_update_check(state, False, sample)
-        state.observe(sample)
-        if state.codebook is None:
-            state.codebook = _csax_codebook(state.samples())
-            built_at = state.count
+    while len(events) < reduced.size - n + 1:
         codebook = state.codebook
-        window_values = reduced[i - n + 1 : i + 1]
-        pmf = empirical_pmf(quantize(codebook, window_values), codebook.kappa)
-        kappa = codebook.kappa
-        if kappa not in thresholds:
-            thresholds[kappa] = chi2_quantile(1.0 - config.alpha, kappa - 1)
-        event = gof_step(null_set, pmf, thresholds[kappa], index=i)
-        if event.anomalous:
-            raw_windows.append(window_values.copy())
-        # re-estimation is skipped when no sample arrived since the last
-        # build (only possible right at the bootstrap step)
-        do_rebuild = (event.anomalous or range_hit) and state.count != built_at
-        events.append(replace(event, rebuild=do_rebuild))
-        if do_rebuild:
-            state.codebook = _csax_codebook(state.samples())
-            built_at = state.count
-            rebuilds += 1
-            null_set = _null_set(state.codebook, raw_windows)
+        sym = quantize(codebook, reduced)
+        for event in _rolling(sym, codebook.kappa, config, null_set, n - 1 + len(events)):
+            i = event.index
+            range_hit = dynamic_update_check(state, False, reduced[i])
+            state.observe(reduced[i])
+            if event.anomalous:
+                flagged.append(reduced[i - n + 1 : i + 1])
+            # re-estimation is skipped when no sample arrived since the last
+            # build (only possible right at the cold start)
+            rebuild = (event.anomalous or range_hit) and state.count != built_at
+            events.append(replace(event, rebuild=True) if rebuild else event)
+            if rebuild:
+                state.codebook, _ = mean_shift_codebook(state.samples())
+                built_at = state.count
+                rebuilds += 1
+                null_set = NullHypothesisSet()
+                for w in flagged:
+                    null_set.add(empirical_pmf(quantize(state.codebook, w), state.codebook.kappa))
+                break
     return CsaxResult(events, state, rebuilds)
 
 
@@ -369,12 +355,7 @@ def window_scores(events) -> np.ndarray:
     degrees of freedom) changed during the run; infinite statistics map to an
     infinite score.
     """
-    out = np.empty(len(events))
-    for i, ev in enumerate(events):
-        dof = max(ev.kappa - 1, 1)
-        if math.isinf(ev.min_statistic):
-            out[i] = math.inf
-            continue
-        p = float(gammaincc(dof / 2.0, ev.min_statistic / 2.0))
-        out[i] = math.inf if p == 0.0 else -math.log10(p)
-    return out
+    stats = np.array([ev.min_statistic for ev in events], dtype=float)
+    dof = np.maximum(np.array([ev.kappa for ev in events], dtype=float) - 1.0, 1.0)
+    with np.errstate(divide="ignore"):  # a zero tail probability scores +inf
+        return -np.log10(gammaincc(dof / 2.0, stats / 2.0))

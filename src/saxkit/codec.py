@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, KernelKind, bandwidth_gradient, bandwidth_silverman
+from .density import DensityModel, KernelKind, bandwidth_silverman
 from .discretize import (
     Codebook,
     gaussian_equiprobable_codebook,
@@ -39,7 +39,7 @@ from .errors import (
     OutOfRangeError,
     SymbolOutOfRangeError,
 )
-from .meanshift import mean_shift_modes, modes_to_codebook
+from .meanshift import mean_shift_codebook
 from .series import NormalizationStats, PaaSeries, TimeSeries, _as_finite_array, _paa_rows, _row_stats
 
 __all__ = [
@@ -205,18 +205,14 @@ def fit(spec: EncoderSpec, training=()) -> TrainedEncoder:
         raise EmptyTrainingError(f"{spec.method.value} requires a training pool")
     if spec.method is EncodingMethod.ASAX:
         return TrainedEncoder(spec, kmeans_codebook(pool, spec.kappa, spec.seed), stats)
-    sigma = float(np.std(pool))
     if spec.method is EncodingMethod.PSAX:
-        h = bandwidth_silverman(KernelKind.EPANECHNIKOV, sigma, pool.size)
+        h = bandwidth_silverman(KernelKind.EPANECHNIKOV, float(np.std(pool)), pool.size)
         density = DensityModel(pool, KernelKind.EPANECHNIKOV, h)
         init = np.sort(kmeans_pp_init(pool, spec.kappa, spec.seed))
         codebook, _ = lloyd_max(density, spec.kappa, init)
-        return TrainedEncoder(spec, codebook, stats, density)
-    # CSAX: alphabet size is discovered from the modes, spec.kappa is ignored.
-    h = bandwidth_gradient(KernelKind.GAUSSIAN, sigma, pool.size)
-    density = DensityModel(pool, KernelKind.GAUSSIAN, h)
-    modes = mean_shift_modes(pool, h)
-    return TrainedEncoder(spec, modes_to_codebook(modes, density), stats, density)
+    else:  # CSAX: alphabet size is discovered from the modes, spec.kappa is ignored.
+        codebook, density = mean_shift_codebook(pool)
+    return TrainedEncoder(spec, codebook, stats, density)
 
 
 def _as_row(series) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .metrics import _dist_error, _tlb, euclidean
-from .series import TimeSeries, znormalize
+from .series import TimeSeries, _constant_rows, znormalize
 
 __all__ = [
     "LabeledStream",
@@ -740,7 +740,8 @@ def run_fixed_detector(
         raise InvalidParamsError("the adaptive method has its own runner")
     x = np.asarray(values, dtype=float).ravel()
     sd = float(np.std(x))
-    if sd == 0.0:
+    # streams with a non-finite std (empty or non-finite) fail further on
+    if math.isfinite(sd) and _constant_rows(x, sd):
         raise ConstantSeriesError("stream is constant; cannot normalize")
     reduced, _ = block_means((x - float(np.mean(x))) / sd, paa_ratio)
 

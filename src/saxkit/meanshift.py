@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, bandwidth_silverman, KernelKind
+from .density import DensityModel, KernelKind, bandwidth_gradient, bandwidth_silverman
 from .discretize import Codebook, CodebookMethod
 from .errors import (
     NoConvergenceError,
@@ -35,6 +35,7 @@ __all__ = [
     "mean_shift_vector",
     "mean_shift_modes",
     "modes_to_codebook",
+    "mean_shift_codebook",
     "DynamicClusterState",
     "dynamic_update_check",
 ]
@@ -251,6 +252,17 @@ def modes_to_codebook(mode_set: ModeSet, density: DensityModel) -> Codebook:
             lambda v: density.pdf(float(v)), float(grid[j - 1]), float(grid[j + 1]), 1e-6
         )
     return Codebook(CodebookMethod.MEAN_SHIFT, cutlines, modes, modes=modes)
+
+
+def mean_shift_codebook(samples: np.ndarray) -> tuple[Codebook, DensityModel]:
+    """The CSAX codebook of a sample pool, and the Gaussian KDE it was cut from.
+
+    The bandwidth follows the gradient rule on the pool's population std; the
+    modes of that KDE become the centroids (see :func:`modes_to_codebook`).
+    """
+    h = bandwidth_gradient(KernelKind.GAUSSIAN, float(np.std(samples)), samples.size)
+    density = DensityModel(samples, KernelKind.GAUSSIAN, h)
+    return modes_to_codebook(mean_shift_modes(samples, h), density), density
 
 
 class DynamicClusterState:

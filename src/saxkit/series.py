@@ -42,6 +42,13 @@ def _as_finite_array(values, name, ndim=1):
     return arr
 
 
+def _constant_rows(rows: np.ndarray, std) -> np.ndarray:
+    """Rows in which no value differs from the first one.  The std of such a
+    row is often not exactly 0 in floating point; a row whose spread
+    underflows to a zero std counts as constant too."""
+    return (rows == rows[..., :1]).all(axis=-1, keepdims=True) | (std == 0.0)
+
+
 def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of each row as ``(..., 1)`` arrays, computed
     as ``np.mean``/``np.std`` do, so a stack and its single rows agree exactly."""
@@ -51,7 +58,7 @@ def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = np.add.reduce(rows, axis=-1, keepdims=True) / n
     dev = rows - mean
     std = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n)
-    if (std == 0.0).any():
+    if _constant_rows(rows, std).any():
         raise ConstantSeriesError("cannot Z-normalize a constant series")
     if not np.isfinite(std).all():  # a non-finite mean makes std non-finite too
         raise OutOfRangeError("normalization stats must be finite")

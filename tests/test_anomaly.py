@@ -1,8 +1,13 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from saxkit.anomaly import (
     CsaxResult,
@@ -10,6 +15,7 @@ from saxkit.anomaly import (
     DetectorConfig,
     EmpiricalPmf,
     NullHypothesisSet,
+    block_means,
     chi2_quantile,
     empirical_pmf,
     gof_statistic,
@@ -19,6 +25,7 @@ from saxkit.anomaly import (
     run_detector,
     window_scores,
 )
+from saxkit.discretize import quantize
 from saxkit.errors import (
     AlphabetMismatchError,
     InvalidParamsError,
@@ -27,6 +34,8 @@ from saxkit.errors import (
     SymbolOutOfRangeError,
     WindowLengthMismatchError,
 )
+from saxkit.harness import generate_synthetic
+from saxkit.meanshift import DynamicClusterState, dynamic_update_check, mean_shift_codebook
 
 
 def chi2_quantile_oracle(p, dof):
@@ -175,6 +184,26 @@ class TestNullHypothesisSet:
         first = s.min_statistic(w)
         s.add(w)
         assert s.min_statistic(w) == 0.0 < first
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda kappa: st.lists(
+                st.lists(st.integers(0, 30), min_size=kappa, max_size=kappa).filter(any),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.data(),
+    )
+    def test_statistics_are_never_negative(self, counts, data):
+        pmfs = [EmpiricalPmf(np.array(c)) for c in counts]
+        s = NullHypothesisSetWith(pmfs)
+        for p in pmfs:
+            assert kl_divergence(p, p) == 0.0
+            assert s.min_statistic(p) == 0.0
+        window = EmpiricalPmf(np.array(data.draw(st.permutations(counts[0]))))
+        assert s.min_statistic(window) >= 0.0
 
 
 class TestGofStep:
@@ -349,6 +378,102 @@ class TestCsaxDetector:
             run_csax_detector(np.array([1.0, np.nan] * 50), DetectorConfig(window=50))
 
 
+def reference_csax(values, config, pretraining=(), paa_ratio=1.0):
+    """The per-window cSAX loop: every window is quantized and counted afresh
+    under the codebook current at its step.  Returns ``(events, rebuilds, count)``."""
+    reduced, _ = block_means(values, paa_ratio)
+    n = config.window
+
+    def null_set_of(codebook, windows):
+        null_set = NullHypothesisSet()
+        for w in windows:
+            null_set.add(empirical_pmf(quantize(codebook, w), codebook.kappa))
+        return null_set
+
+    state = DynamicClusterState()
+    raw_windows = []
+    pre = np.asarray(pretraining, dtype=float).ravel()
+    if pre.size:
+        pre_reduced, _ = block_means(pre, paa_ratio)
+        state.observe_many(pre_reduced)
+        state.codebook, _ = mean_shift_codebook(state.samples())
+        if pre_reduced.size >= n:
+            pre_config = replace(config, kappa=state.codebook.kappa)
+            for ev in run_detector(quantize(state.codebook, pre_reduced), pre_config):
+                if ev.anomalous:
+                    raw_windows.append(pre_reduced[ev.index - n + 1 : ev.index + 1].copy())
+    null_set = null_set_of(state.codebook, raw_windows)
+    built_at = state.count if state.codebook is not None else -1
+    events, rebuilds = [], 0
+    for i in range(reduced.size):
+        sample = float(reduced[i])
+        if i < n - 1:
+            state.observe(sample)
+            continue
+        range_hit = state.codebook is not None and dynamic_update_check(state, False, sample)
+        state.observe(sample)
+        if state.codebook is None:
+            state.codebook, _ = mean_shift_codebook(state.samples())
+            built_at = state.count
+        codebook = state.codebook
+        window_values = reduced[i - n + 1 : i + 1]
+        pmf = empirical_pmf(quantize(codebook, window_values), codebook.kappa)
+        threshold = chi2_quantile(1.0 - config.alpha, codebook.kappa - 1)
+        event = gof_step(null_set, pmf, threshold, index=i)
+        if event.anomalous:
+            raw_windows.append(window_values.copy())
+        do_rebuild = (event.anomalous or range_hit) and state.count != built_at
+        events.append(replace(event, rebuild=do_rebuild))
+        if do_rebuild:
+            state.codebook, _ = mean_shift_codebook(state.samples())
+            built_at = state.count
+            rebuilds += 1
+            null_set = null_set_of(state.codebook, raw_windows)
+    return events, rebuilds, state.count
+
+
+_LEVEL_SHIFTS = generate_synthetic("level_shift_anomalies", 2000, seed=13).values
+_BIMODAL = bimodal_stream(np.random.default_rng(1), 700)
+_EXCURSION = np.where(np.arange(200) == 120, 40.0, _BIMODAL[500:])
+
+CSAX_CASES = {
+    "no pretraining": (_LEVEL_SHIFTS, {}),
+    "pretraining": (_LEVEL_SHIFTS[400:], {"pretraining": _LEVEL_SHIFTS[:400]}),
+    "paa ratio 0.5": (_LEVEL_SHIFTS, {"paa_ratio": 0.5}),
+    "range excursion": (_EXCURSION, {"pretraining": _BIMODAL[:500]}),
+}
+
+
+class TestCsaxAgainstThePerWindowLoop:
+    @pytest.mark.parametrize("name", list(CSAX_CASES))
+    def test_event_logs_match(self, name):
+        values, kwargs = CSAX_CASES[name]
+        config = DetectorConfig(window=50, alpha=0.01)
+        expected, rebuilds, count = reference_csax(values, config, **kwargs)
+        assert rebuilds > 0
+        res = run_csax_detector(values, config, **kwargs)
+        assert (res.rebuilds, res.state.count, len(res.events)) == (rebuilds, count, len(expected))
+        for got, want in zip(res.events, expected):
+            assert (got.index, got.anomalous, got.threshold, got.components, got.rebuild, got.kappa) == (
+                want.index,
+                want.anomalous,
+                want.threshold,
+                want.components,
+                want.rebuild,
+                want.kappa,
+            )
+            if math.isinf(want.min_statistic):
+                assert got.min_statistic == want.min_statistic
+            else:
+                assert abs(got.min_statistic - want.min_statistic) <= 1e-12
+
+    def test_level_shift_scores_have_no_nan(self):
+        stream = generate_synthetic("level_shift_anomalies", 10000, seed=11)
+        res = run_csax_detector(stream.values, DetectorConfig())
+        assert all(ev.min_statistic >= 0.0 for ev in res.events)
+        assert not np.isnan(window_scores(res.events)).any()
+
+
 class TestWindowScores:
     def test_score_at_the_threshold_matches_the_alpha_level(self):
         stat = chi2_quantile(0.95, 9)
@@ -365,3 +490,15 @@ class TestWindowScores:
         ]
         scores = window_scores(events)
         assert scores[0] < scores[1] < scores[2]
+
+    def test_matches_the_per_event_formula(self):
+        stats = [0.0, 1e-3, 0.5, 3.0, 16.9, 80.0, 900.0, 5000.0, math.inf]
+        events = [
+            DetectionEvent(i, False, stat, 16.9, 1, kappa=kappa)
+            for i, (stat, kappa) in enumerate(itertools.product(stats, [1, 2, 10, 300]))
+        ]
+        expected = []
+        for ev in events:
+            p = float(gammaincc(max(ev.kappa - 1, 1) / 2.0, ev.min_statistic / 2.0))
+            expected.append(math.inf if p == 0.0 else -math.log10(p))
+        np.testing.assert_allclose(window_scores(events), expected, rtol=1e-12)

@@ -245,6 +245,12 @@ BAD_ROWS = {
         [np.arange(8.0), np.array([1.0, 3.0] * 4)],
         {RAW: None, PAA_Z: ConstantSeriesError, NONE: None},
     ),
+    # equal values whose float std is 1.4e-17, not 0
+    "inexactly constant": (
+        1,
+        [np.arange(3.0), np.full(3, 0.1)],
+        {RAW: ConstantSeriesError, PAA_Z: TooShortError, NONE: None},
+    ),
     "too short": (4, [np.array([1.0, 2.0])], dict.fromkeys(NormalizationMode, OutOfRangeError)),
     "single value": (1, [np.array([5.0])], {RAW: TooShortError, PAA_Z: TooShortError, NONE: None}),
     "indivisible": (

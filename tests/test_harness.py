@@ -483,6 +483,8 @@ class TestFixedDetector:
             run_fixed_detector(np.zeros(100), EncodingMethod.CSAX)
         with pytest.raises(ConstantSeriesError):
             run_fixed_detector(np.ones(100), EncodingMethod.SAX)
+        with pytest.raises(ConstantSeriesError):  # float std 1.8e-15, not 0
+            run_fixed_detector(np.full(200, 7.7), EncodingMethod.SAX)
         stream = generate_synthetic("gaussian_iid", 200, seed=14)
         with pytest.raises(InvalidParamsError):
             run_fixed_detector(stream.values, EncodingMethod.SAX, paa_ratio=0.3)

@@ -75,6 +75,8 @@ class TestZnormalize:
     def test_constant_series(self):
         with pytest.raises(ConstantSeriesError):
             znormalize(TimeSeries([2.0, 2.0, 2.0]))
+        with pytest.raises(ConstantSeriesError):  # float std 1.4e-17, not 0
+            znormalize(TimeSeries([0.1] * 3))
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
