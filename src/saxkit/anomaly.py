@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaincc, gammaincinv
 
+from .density import SILVERMAN_CONSTANT
 from .discretize import Codebook, quantize
 from .errors import (
     AlphabetMismatchError,
@@ -30,7 +31,7 @@ from .errors import (
     SymbolOutOfRangeError,
     WindowLengthMismatchError,
 )
-from .meanshift import DynamicClusterState, dynamic_update_check, mean_shift_codebook
+from .meanshift import mean_shift_codebook
 
 __all__ = [
     "EmpiricalPmf",
@@ -55,20 +56,19 @@ class EmpiricalPmf:
     """Symbol counts of one window; masses are exact multiples of ``1/n``."""
 
     counts: np.ndarray
+    window: int = field(init=False, repr=False, compare=False)  # the counts' total
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
         if not np.issubdtype(arr.dtype, np.integer):
             raise OutOfRangeError("counts must be integers")
-        arr = arr.astype(np.int64)
-        if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or arr.sum() < 1:
+        arr = arr.astype(np.int64)  # a copy: the caller may reuse its array
+        total = int(arr.sum())
+        if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or total < 1:
             raise OutOfRangeError("counts must be non-negative with a positive total")
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
-
-    @property
-    def window(self) -> int:
-        return int(self.counts.sum())
+        object.__setattr__(self, "window", total)
 
     @property
     def kappa(self) -> int:
@@ -229,7 +229,7 @@ def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, star
         if i > start:
             counts[sym[i]] += 1
             counts[sym[i - n]] -= 1
-        yield gof_step(null_set, EmpiricalPmf(counts.copy()), threshold, index=i)
+        yield gof_step(null_set, EmpiricalPmf(counts), threshold, index=i)
 
 
 def run_detector(symbols, config: DetectorConfig = DetectorConfig()) -> list[DetectionEvent]:
@@ -260,15 +260,35 @@ def block_means(values, paa_ratio: float) -> tuple[np.ndarray, int]:
 
 @dataclass
 class CsaxResult:
-    """Events plus the final clustering state of one cSAX detector run."""
+    """Events, final codebook and rebuild count of one cSAX detector run."""
 
     events: list[DetectionEvent]
-    state: DynamicClusterState
+    codebook: Codebook
     rebuilds: int
 
-    @property
-    def codebook(self) -> Codebook:
-        return self.state.codebook
+
+def _range_hits(seen: np.ndarray) -> np.ndarray:
+    """``out[k]`` is True when ``seen[k]`` lies strictly outside the range of
+    ``seen[:k]`` widened on each side by the smoothness scale ``sigma_k``, the
+    Gaussian Silverman bandwidth of ``seen[:k]``; ``out[0]`` is False.
+
+    The population std of each prefix comes from cumulative sums of
+    ``seen - seen[0]``.  Every prefix holds ``seen[0]``, so those sums stay on
+    the scale of the prefix's own spread; a centre taken over the whole stream
+    would cancel catastrophically in the prefixes before a level shift.  A
+    prefix with no value change has ``sigma_k = 0``.
+    """
+    d = seen[:-1] - seen[:1]
+    k = np.arange(1.0, seen.size)  # length of the prefix before seen[1:]
+    lo = np.minimum.accumulate(seen[:-1])
+    hi = np.maximum.accumulate(seen[:-1])
+    mean = np.cumsum(d) / k
+    var = np.cumsum(d * d) / k - mean * mean
+    sd = np.where(hi > lo, np.sqrt(np.maximum(var, 0.0)), 0.0)
+    sigma = SILVERMAN_CONSTANT["gaussian"] * sd * k ** (-1.0 / 5.0)
+    out = np.zeros(seen.size, dtype=bool)
+    out[1:] = (seen[1:] < lo - sigma) | (seen[1:] > hi + sigma)
+    return out
 
 
 def run_csax_detector(
@@ -307,49 +327,49 @@ def run_csax_detector(
     if reduced.size < n:
         raise StreamTooShortError(f"{reduced.size} blocks < window {n}")
 
-    state = DynamicClusterState()
+    pre = np.asarray(pretraining, dtype=float).ravel()
+    pre_reduced = block_means(pre, paa_ratio)[0] if pre.size else pre
+    seen = np.concatenate((pre_reduced, reduced))  # every sample, in stream order
+    if not np.all(np.isfinite(seen)):
+        raise OutOfRangeError("stream values must be finite")
+    range_hits = _range_hits(seen)[pre_reduced.size :]  # one per stream block
+
     null_set = NullHypothesisSet()
     flagged: list[np.ndarray] = []  # raw values of the stored windows
-    pre = np.asarray(pretraining, dtype=float).ravel()
     if pre.size:
-        pre_reduced, _ = block_means(pre, paa_ratio)
-        state.observe_many(pre_reduced)
-        state.codebook, _ = mean_shift_codebook(state.samples())
+        codebook, _ = mean_shift_codebook(pre_reduced)
         if pre_reduced.size >= n:
-            sym = quantize(state.codebook, pre_reduced)
-            for event in _rolling(sym, state.codebook.kappa, config, null_set, n - 1):
+            sym = quantize(codebook, pre_reduced)
+            for event in _rolling(sym, codebook.kappa, config, null_set, n - 1):
                 if event.anomalous:
                     flagged.append(pre_reduced[event.index - n + 1 : event.index + 1])
-        built_at = state.count
+        built_at = pre_reduced.size
     else:  # cold start: the first window's samples give the first codebook
-        state.codebook, _ = mean_shift_codebook(reduced[:n])
+        codebook, _ = mean_shift_codebook(reduced[:n])
         built_at = n
-    state.observe_many(reduced[: n - 1])
 
     events: list[DetectionEvent] = []
     rebuilds = 0
     while len(events) < reduced.size - n + 1:
-        codebook = state.codebook
         sym = quantize(codebook, reduced)
         for event in _rolling(sym, codebook.kappa, config, null_set, n - 1 + len(events)):
             i = event.index
-            range_hit = dynamic_update_check(state, False, reduced[i])
-            state.observe(reduced[i])
+            count = pre_reduced.size + i + 1  # samples seen once block i is in
             if event.anomalous:
                 flagged.append(reduced[i - n + 1 : i + 1])
             # re-estimation is skipped when no sample arrived since the last
             # build (only possible right at the cold start)
-            rebuild = (event.anomalous or range_hit) and state.count != built_at
+            rebuild = (event.anomalous or range_hits[i]) and count != built_at
             events.append(replace(event, rebuild=True) if rebuild else event)
             if rebuild:
-                state.codebook, _ = mean_shift_codebook(state.samples())
-                built_at = state.count
+                codebook, _ = mean_shift_codebook(seen[:count])
+                built_at = count
                 rebuilds += 1
                 null_set = NullHypothesisSet()
                 for w in flagged:
-                    null_set.add(empirical_pmf(quantize(state.codebook, w), state.codebook.kappa))
+                    null_set.add(empirical_pmf(quantize(codebook, w), codebook.kappa))
                 break
-    return CsaxResult(events, state, rebuilds)
+    return CsaxResult(events, codebook, rebuilds)
 
 
 def window_scores(events) -> np.ndarray:

@@ -28,6 +28,7 @@ from .errors import InvalidParamsError, ParseError, SaxkitError
 from .harness import (
     ExperimentGrid,
     LabeledStream,
+    event_record,
     generate_synthetic,
     load_labeled_csv,
     load_series_csv,
@@ -111,20 +112,6 @@ def _run_configured_detector(args):
     return events, labels, config
 
 
-def _events_payload(events) -> list[dict]:
-    return [
-        {
-            "index": ev.index,
-            "flag": int(ev.anomalous),
-            "min_statistic": ev.min_statistic,
-            "threshold": ev.threshold,
-            "components_count": ev.components,
-            "rebuild_flag": int(ev.rebuild),
-        }
-        for ev in events
-    ]
-
-
 def _cmd_gen(args) -> int:
     params = {}
     for name in ("phi", "mu1", "mu2", "weight", "sigma", "rate", "segment", "shift"):
@@ -195,7 +182,7 @@ def _cmd_tlb_rmse(args) -> int:
 def _cmd_detect(args) -> int:
     events, _, _ = _run_configured_detector(args)
     if args.out is not None and str(args.out).endswith(".json"):
-        _write_text(args.out, json.dumps(_events_payload(events)))
+        _write_text(args.out, json.dumps([event_record(ev) for ev in events]))
     else:
         write_events_csv(_out_stream(args.out), events)
     return 0

@@ -18,7 +18,6 @@ from .anomaly import DetectionEvent, DetectorConfig, block_means, run_detector
 from .codec import EncoderSpec, EncodingMethod, NormalizationMode, encoder_space, fit
 from .discretize import Codebook, quantize
 from .errors import (
-    ConstantSeriesError,
     EmptyFileError,
     GridInfeasibleError,
     InvalidParamsError,
@@ -30,7 +29,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .metrics import _dist_error, _tlb, euclidean
-from .series import TimeSeries, _constant_rows, znormalize
+from .series import TimeSeries, _row_stats, znormalize
 
 __all__ = [
     "LabeledStream",
@@ -40,6 +39,7 @@ __all__ = [
     "load_labeled_csv",
     "write_series_csv",
     "write_labeled_csv",
+    "event_record",
     "write_events_csv",
     "read_events_csv",
     "write_records_csv",
@@ -241,19 +241,21 @@ EVENT_FIELDS = (
 )
 
 
+def event_record(ev: DetectionEvent) -> dict:
+    """One detector event as a row keyed by ``EVENT_FIELDS``; flags are 0/1."""
+    row = (
+        ev.index,
+        int(ev.anomalous),
+        ev.min_statistic,
+        ev.threshold,
+        ev.components,
+        int(ev.rebuild),
+    )
+    return dict(zip(EVENT_FIELDS, row))
+
+
 def write_events_csv(path, events) -> None:
-    with _open_write(path) as fh:
-        fh.write(",".join(EVENT_FIELDS) + "\n")
-        for ev in events:
-            row = (
-                ev.index,
-                ev.anomalous,
-                ev.min_statistic,
-                ev.threshold,
-                ev.components,
-                ev.rebuild,
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_records_csv(path, [event_record(ev) for ev in events], EVENT_FIELDS)
 
 
 def read_events_csv(path) -> list[DetectionEvent]:
@@ -741,11 +743,8 @@ def run_fixed_detector(
     x = np.asarray(values, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise OutOfRangeError("stream values must be finite")
-    sd = float(np.std(x))
-    # an empty stream (std NaN) fails further on
-    if math.isfinite(sd) and _constant_rows(x, sd):
-        raise ConstantSeriesError("stream is constant; cannot normalize")
-    reduced, _ = block_means((x - float(np.mean(x))) / sd, paa_ratio)
+    mean, sd = _row_stats(x)
+    reduced, _ = block_means((x - mean) / sd, paa_ratio)
 
     spec = EncoderSpec(method, segments=1, kappa=config.kappa, normalization=NormalizationMode.NONE, seed=seed)
     rng = np.random.default_rng([seed])

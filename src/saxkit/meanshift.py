@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, KernelKind, bandwidth_gradient, bandwidth_silverman
+from .density import DensityModel, KernelKind, bandwidth_gradient
 from .discretize import Codebook, CodebookMethod
 from .errors import (
     NoConvergenceError,
@@ -36,8 +36,6 @@ __all__ = [
     "mean_shift_modes",
     "modes_to_codebook",
     "mean_shift_codebook",
-    "DynamicClusterState",
-    "dynamic_update_check",
 ]
 
 _EXHAUSTIVE_LIMIT = 160
@@ -263,72 +261,3 @@ def mean_shift_codebook(samples: np.ndarray) -> tuple[Codebook, DensityModel]:
     h = bandwidth_gradient(KernelKind.GAUSSIAN, float(np.std(samples)), samples.size)
     density = DensityModel(samples, KernelKind.GAUSSIAN, h)
     return modes_to_codebook(mean_shift_modes(samples, h), density), density
-
-
-class DynamicClusterState:
-    """Running view of a stream for mean-shift re-clustering decisions.
-
-    Tracks every sample seen, the observed range, the population standard
-    deviation (Welford update) and the smoothness scale ``sigma_k`` given by
-    the Gaussian Silverman rule on the samples so far.
-    """
-
-    def __init__(self, codebook: Codebook | None = None):
-        self.codebook = codebook
-        self._values: list[float] = []
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min_value = math.inf
-        self.max_value = -math.inf
-        self.sigma_k = 0.0
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def std(self) -> float:
-        if not self._values:
-            return 0.0
-        return math.sqrt(max(self._m2 / len(self._values), 0.0))
-
-    def samples(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            raise OutOfRangeError(f"stream value must be finite, got {value}")
-        self._values.append(value)
-        delta = value - self._mean
-        self._mean += delta / len(self._values)
-        self._m2 += delta * (value - self._mean)
-        self.min_value = min(self.min_value, value)
-        self.max_value = max(self.max_value, value)
-        sd = self.std
-        self.sigma_k = (
-            bandwidth_silverman(KernelKind.GAUSSIAN, sd, self.count) if sd > 0.0 else 0.0
-        )
-
-    def observe_many(self, values) -> None:
-        for v in np.asarray(values, dtype=float).ravel():
-            self.observe(v)
-
-
-def dynamic_update_check(
-    state: DynamicClusterState, window_flagged_anomalous: bool, new_sample: float
-) -> bool:
-    """Decide whether the clustering should be re-estimated.
-
-    True when the latest window was flagged anomalous, or when ``new_sample``
-    falls outside the observed range widened by ``sigma_k`` on each side.
-    The range test uses the state as it stood before the sample is absorbed.
-    """
-    if window_flagged_anomalous:
-        return True
-    if state.count == 0:
-        return False
-    return bool(
-        new_sample < state.min_value - state.sigma_k
-        or new_sample > state.max_value + state.sigma_k
-    )

@@ -15,6 +15,7 @@ from saxkit.anomaly import (
     DetectorConfig,
     EmpiricalPmf,
     NullHypothesisSet,
+    _range_hits,
     block_means,
     chi2_quantile,
     empirical_pmf,
@@ -34,8 +35,9 @@ from saxkit.errors import (
     SymbolOutOfRangeError,
     WindowLengthMismatchError,
 )
+from saxkit.density import SILVERMAN_CONSTANT
 from saxkit.harness import generate_synthetic
-from saxkit.meanshift import DynamicClusterState, dynamic_update_check, mean_shift_codebook
+from saxkit.meanshift import mean_shift_codebook
 
 
 def chi2_quantile_oracle(p, dof):
@@ -83,6 +85,14 @@ class TestEmpiricalPmf:
         assert p.window == 4
         assert p.kappa == 4
         np.testing.assert_allclose(p.masses, [0.25, 0.5, 0.0, 0.25])
+
+    def test_later_changes_to_the_source_array_do_not_leak_in(self):
+        source = np.array([1, 2, 0, 1])
+        p = EmpiricalPmf(source)
+        source[:] = [9, 0, 0, 0]
+        np.testing.assert_array_equal(p.counts, [1, 2, 0, 1])
+        assert p.window == 4
+        np.testing.assert_array_equal(p.masses, [0.25, 0.5, 0.0, 0.25])
 
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
@@ -361,11 +371,8 @@ class TestCsaxDetector:
         rng = np.random.default_rng(2)
         stream = bimodal_stream(rng, 101)
         res = run_csax_detector(stream, DetectorConfig(window=50), paa_ratio=0.5)
-        assert res.state.count == 50
         assert len(res.events) == 1
-        np.testing.assert_allclose(
-            res.state.samples(), stream[:100].reshape(50, 2).mean(axis=1), atol=1e-12
-        )
+        assert res.codebook == mean_shift_codebook(stream[:100].reshape(50, 2).mean(axis=1))[0]
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -386,11 +393,98 @@ class TestCsaxDetector:
             run_csax_detector(stream[:40], DetectorConfig(window=50))
         with pytest.raises(OutOfRangeError):
             run_csax_detector(np.array([1.0, np.nan] * 50), DetectorConfig(window=50))
+        with pytest.raises(OutOfRangeError):
+            run_csax_detector(stream, DetectorConfig(window=50), pretraining=[0.0, np.inf])
+
+
+def range_hits_oracle(seen):
+    """Two passes over every prefix: the hit flags, the widened edges
+    ``lo - sigma`` and ``hi + sigma``, and the scale ``sigma`` of each sample."""
+    hits, lo, hi, sigma = [False], [np.nan], [np.nan], [0.0]
+    for k in range(1, len(seen)):
+        prefix = seen[:k]
+        sd = float(np.std(prefix)) if (prefix != prefix[0]).any() else 0.0
+        sigma.append(SILVERMAN_CONSTANT["gaussian"] * sd * k ** (-1.0 / 5.0))
+        lo.append(prefix.min() - sigma[-1])
+        hi.append(prefix.max() + sigma[-1])
+        hits.append(bool(seen[k] < lo[-1] or seen[k] > hi[-1]))
+    return np.array(hits), np.array(lo), np.array(hi), np.array(sigma)
+
+
+class TestRangeHits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ints=st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+        lead=st.integers(0, 6),
+        offset=st.one_of(st.sampled_from([0.0, 1e8, -1e8]), st.floats(-1e8, 1e8)),
+        scale=st.sampled_from([2.0**-20, 0.1, 1.0, 33.0]),
+        shift=st.sampled_from([0.0, 1e8]),
+    )
+    def test_matches_the_two_pass_oracle(self, ints, lead, offset, scale, shift):
+        # small integer values give ties and constant runs; the shift moves the
+        # second half of the stream far from its start
+        seen = offset + scale * np.array([ints[0]] * lead + ints, dtype=float)
+        seen[seen.size // 2 :] += shift
+        want, lo, hi, sigma = range_hits_oracle(seen)
+        got = _range_hits(seen)
+        assert got.dtype == bool and got.shape == seen.shape and not got[0]
+        # a sample within rounding of a widened edge may fall either side of it
+        tol = 1e-9 * sigma + 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        near = (np.abs(seen - lo) <= tol) | (np.abs(seen - hi) <= tol)
+        np.testing.assert_array_equal(got[~near], want[~near])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ints=st.integers(0, 5).flatmap(
+            lambda j: st.lists(st.integers(-3, 3), min_size=2**j, max_size=2**j)
+        ),
+        offset=st.sampled_from([0.0, -7.0, 1e8]),
+        scale=st.sampled_from([2.0**-20, 0.25, 1.0, 32.0]),
+    )
+    def test_a_sample_on_the_widened_edge_is_not_a_hit(self, ints, offset, scale):
+        # dyadic values over a power-of-two prefix keep both the prefix sums
+        # and the two-pass std exact, so the oracle's edges are the helper's
+        prefix = offset + scale * np.array(ints, dtype=float)
+        _, lo, hi, _ = range_hits_oracle(np.append(prefix, 0.0))
+        for edge, outward in ((lo[-1], -np.inf), (hi[-1], np.inf)):
+            assert not _range_hits(np.append(prefix, edge))[-1]
+            assert _range_hits(np.append(prefix, np.nextafter(edge, outward)))[-1]
+
+    def test_truth_table(self):
+        prefix = np.array([0.0, 1.0, 2.0, 3.0])
+        sigma = 1.0492 * np.std(prefix) * 4 ** (-1.0 / 5.0)
+
+        def hit(value):
+            return bool(_range_hits(np.append(prefix, value))[-1])
+
+        assert not hit(-0.5 * sigma)
+        assert hit(-sigma - 1e-9)
+        assert hit(3.0 + sigma + 1e-9)
+        # exactly on the widened edge is still inside
+        assert not hit(0.0 - sigma)
+        assert not hit(3.0 + sigma)
+        assert not _range_hits(np.array([5.0]))[0]
+        assert _range_hits(np.array([], dtype=float)).shape == (0,)
+
+    def test_smoothness_scale_follows_the_density_rule(self):
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=200)
+        sigma = 1.0492 * np.std(values) * 200 ** (-1.0 / 5.0)
+        top = values.max()
+        assert not _range_hits(np.append(values, top + 0.999 * sigma))[-1]
+        assert _range_hits(np.append(values, top + 1.001 * sigma))[-1]
+
+    def test_constant_prefix_has_zero_scale(self):
+        assert not _range_hits(np.array([2.0, 2.0, 2.0, 2.0])).any()
+        assert _range_hits(np.array([2.0, 2.0, 2.0, 2.0 + 1e-12]))[-1]
+        assert _range_hits(np.array([1e8, 1e8, 1e8, np.nextafter(1e8, 0.0)]))[-1]
 
 
 def reference_csax(values, config, pretraining=(), paa_ratio=1.0):
     """The per-window cSAX loop: every window is quantized and counted afresh
-    under the codebook current at its step.  Returns ``(events, rebuilds, count)``."""
+    under the codebook current at its step, and the range test reads a plain
+    running state updated one sample at a time.  Returns
+    ``(events, rebuilds, final codebook)``."""
     reduced, _ = block_means(values, paa_ratio)
     n = config.window
 
@@ -400,46 +494,63 @@ def reference_csax(values, config, pretraining=(), paa_ratio=1.0):
             null_set.add(empirical_pmf(quantize(codebook, w), codebook.kappa))
         return null_set
 
-    state = DynamicClusterState()
+    samples, lo, hi, mean, m2 = [], math.inf, -math.inf, 0.0, 0.0
+
+    def observe(value):
+        nonlocal lo, hi, mean, m2
+        samples.append(value)
+        lo, hi = min(lo, value), max(hi, value)
+        delta = value - mean
+        mean += delta / len(samples)
+        m2 += delta * (value - mean)
+
+    def range_hit(value):
+        if not samples:
+            return False
+        sd = math.sqrt(max(m2 / len(samples), 0.0))
+        sigma = SILVERMAN_CONSTANT["gaussian"] * sd * len(samples) ** (-1.0 / 5.0)
+        return value < lo - sigma or value > hi + sigma
+
+    codebook = None
     raw_windows = []
     pre = np.asarray(pretraining, dtype=float).ravel()
     if pre.size:
         pre_reduced, _ = block_means(pre, paa_ratio)
-        state.observe_many(pre_reduced)
-        state.codebook, _ = mean_shift_codebook(state.samples())
+        for sample in pre_reduced:
+            observe(float(sample))
+        codebook, _ = mean_shift_codebook(np.array(samples))
         if pre_reduced.size >= n:
-            pre_config = replace(config, kappa=state.codebook.kappa)
-            for ev in run_detector(quantize(state.codebook, pre_reduced), pre_config):
+            pre_config = replace(config, kappa=codebook.kappa)
+            for ev in run_detector(quantize(codebook, pre_reduced), pre_config):
                 if ev.anomalous:
                     raw_windows.append(pre_reduced[ev.index - n + 1 : ev.index + 1].copy())
-    null_set = null_set_of(state.codebook, raw_windows)
-    built_at = state.count if state.codebook is not None else -1
+    null_set = null_set_of(codebook, raw_windows) if codebook is not None else NullHypothesisSet()
+    built_at = len(samples) if codebook is not None else -1
     events, rebuilds = [], 0
     for i in range(reduced.size):
         sample = float(reduced[i])
         if i < n - 1:
-            state.observe(sample)
+            observe(sample)
             continue
-        range_hit = state.codebook is not None and dynamic_update_check(state, False, sample)
-        state.observe(sample)
-        if state.codebook is None:
-            state.codebook, _ = mean_shift_codebook(state.samples())
-            built_at = state.count
-        codebook = state.codebook
+        hit = codebook is not None and range_hit(sample)
+        observe(sample)
+        if codebook is None:
+            codebook, _ = mean_shift_codebook(np.array(samples))
+            built_at = len(samples)
         window_values = reduced[i - n + 1 : i + 1]
         pmf = empirical_pmf(quantize(codebook, window_values), codebook.kappa)
         threshold = chi2_quantile(1.0 - config.alpha, codebook.kappa - 1)
         event = gof_step(null_set, pmf, threshold, index=i)
         if event.anomalous:
             raw_windows.append(window_values.copy())
-        do_rebuild = (event.anomalous or range_hit) and state.count != built_at
+        do_rebuild = (event.anomalous or hit) and len(samples) != built_at
         events.append(replace(event, rebuild=do_rebuild))
         if do_rebuild:
-            state.codebook, _ = mean_shift_codebook(state.samples())
-            built_at = state.count
+            codebook, _ = mean_shift_codebook(np.array(samples))
+            built_at = len(samples)
             rebuilds += 1
-            null_set = null_set_of(state.codebook, raw_windows)
-    return events, rebuilds, state.count
+            null_set = null_set_of(codebook, raw_windows)
+    return events, rebuilds, codebook
 
 
 _LEVEL_SHIFTS = generate_synthetic("level_shift_anomalies", 2000, seed=13).values
@@ -459,10 +570,11 @@ class TestCsaxAgainstThePerWindowLoop:
     def test_event_logs_match(self, name):
         values, kwargs = CSAX_CASES[name]
         config = DetectorConfig(window=50, alpha=0.01)
-        expected, rebuilds, count = reference_csax(values, config, **kwargs)
+        expected, rebuilds, codebook = reference_csax(values, config, **kwargs)
         assert rebuilds > 0
         res = run_csax_detector(values, config, **kwargs)
-        assert (res.rebuilds, res.state.count, len(res.events)) == (rebuilds, count, len(expected))
+        assert (res.rebuilds, len(res.events)) == (rebuilds, len(expected))
+        assert res.codebook == codebook
         for got, want in zip(res.events, expected):
             assert (got.index, got.anomalous, got.threshold, got.components, got.rebuild, got.kappa) == (
                 want.index,

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -492,3 +493,9 @@ class TestFixedDetector:
             for bad in ([np.nan], [1.0, np.inf]):
                 with pytest.raises(OutOfRangeError, match="finite"):
                     run_fixed_detector(np.array(bad), method)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TooShortError):
+                    run_fixed_detector(np.array([]), method)
+                with pytest.raises(TooShortError):
+                    run_fixed_detector(np.array([3.0]), method)

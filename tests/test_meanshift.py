@@ -14,9 +14,7 @@ from saxkit.errors import (
     TooShortError,
 )
 from saxkit.meanshift import (
-    DynamicClusterState,
     ModeSet,
-    dynamic_update_check,
     mean_shift_modes,
     mean_shift_vector,
     modes_to_codebook,
@@ -228,49 +226,3 @@ class TestModesToCodebook:
         np.testing.assert_allclose(cb.centroids, [m - 1.2, m + 1.2], atol=1e-12)
         np.testing.assert_array_equal(cb.modes, modes.modes)
 
-
-class TestDynamicClusterState:
-    def test_moments_match_numpy(self):
-        rng = np.random.default_rng(12)
-        values = rng.normal(3.0, 2.0, 500)
-        state = DynamicClusterState()
-        state.observe_many(values)
-        assert state.count == 500
-        np.testing.assert_allclose(state.std, np.std(values), rtol=1e-12)
-        assert state.min_value == values.min()
-        assert state.max_value == values.max()
-        np.testing.assert_array_equal(state.samples(), values)
-
-    def test_smoothness_scale_follows_the_density_rule(self):
-        rng = np.random.default_rng(13)
-        values = rng.normal(size=200)
-        state = DynamicClusterState()
-        state.observe_many(values)
-        expected = 1.0492 * np.std(values) * 200 ** (-1.0 / 5.0)
-        np.testing.assert_allclose(state.sigma_k, expected, rtol=1e-12)
-
-    def test_constant_stream_has_zero_scale(self):
-        state = DynamicClusterState()
-        state.observe_many([2.0, 2.0, 2.0])
-        assert state.std == 0.0
-        assert state.sigma_k == 0.0
-
-    def test_non_finite_rejected(self):
-        state = DynamicClusterState()
-        with pytest.raises(OutOfRangeError):
-            state.observe(np.nan)
-
-    def test_update_check_truth_table(self):
-        state = DynamicClusterState()
-        assert dynamic_update_check(state, True, 0.0)
-        assert not dynamic_update_check(state, False, 0.0)
-        state.observe_many([0.0, 1.0, 2.0, 3.0])
-        inside = state.min_value - 0.5 * state.sigma_k
-        below = state.min_value - state.sigma_k - 1e-9
-        above = state.max_value + state.sigma_k + 1e-9
-        assert not dynamic_update_check(state, False, inside)
-        assert dynamic_update_check(state, False, below)
-        assert dynamic_update_check(state, False, above)
-        assert dynamic_update_check(state, True, inside)
-        # exactly on the widened edge is still inside
-        assert not dynamic_update_check(state, False, state.min_value - state.sigma_k)
