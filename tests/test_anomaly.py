@@ -391,6 +391,10 @@ class TestCsaxDetector:
             run_csax_detector(stream, DetectorConfig(window=50), paa_ratio=0.0)
         with pytest.raises(StreamTooShortError):
             run_csax_detector(stream[:40], DetectorConfig(window=50))
+
+    def test_non_finite_samples_rejected(self):
+        rng = np.random.default_rng(4)
+        stream = bimodal_stream(rng, 100)
         with pytest.raises(OutOfRangeError):
             run_csax_detector(np.array([1.0, np.nan] * 50), DetectorConfig(window=50))
         with pytest.raises(OutOfRangeError):
