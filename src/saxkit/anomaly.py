@@ -7,6 +7,13 @@ at the chi-square threshold (``kappa - 1`` degrees of freedom) is flagged
 anomalous and its pmf joins the set, so the null hypothesis is composite and
 learned on the fly; the first window is always anomalous.
 
+The detectors decide windows in chunks rather than one Python step each:
+a chunk's rolling counts come from cumulative sums of the symbols entering
+and leaving, and its statistics against the stored components are one array
+expression.  Each event still equals the one ``gof_step`` gives for that
+window alone: the walk through a chunk stops at each flagged window, stores
+it, and scores only that new component against the windows after it.
+
 The cSAX variant couples the detector with mean-shift clustering: symbols come
 from a codebook that is re-estimated from all samples seen whenever a window
 is flagged or a sample lands outside the observed range widened by the
@@ -32,6 +39,12 @@ from .errors import (
     WindowLengthMismatchError,
 )
 from .meanshift import mean_shift_codebook
+
+# Cell terms one chunk of ``_rolling`` may compute: windows x occupied cells
+# x (stored components + the chunk's own windows).  It bounds the work a
+# chunk can waste when the caller stops early, and keeps each chunk array
+# (windows x components float64) within 2 MiB.
+_CHUNK_ELEMENTS = 1 << 18
 
 __all__ = [
     "EmpiricalPmf",
@@ -79,14 +92,22 @@ class EmpiricalPmf:
         return self.counts / self.window
 
 
+def _symbol_array(sym: np.ndarray, kappa: int) -> np.ndarray:
+    """``sym`` as int64 once every value is an integer in ``[0, kappa)``;
+    integral floats pass, any other value raises."""
+    if sym.min() < 0 or sym.max() >= kappa:
+        raise SymbolOutOfRangeError(f"symbols outside [0, {kappa})")
+    if not np.issubdtype(sym.dtype, np.integer) and np.any(sym != np.floor(sym)):
+        raise SymbolOutOfRangeError("symbols must be integers")
+    return sym.astype(np.int64)
+
+
 def empirical_pmf(symbols, kappa: int) -> EmpiricalPmf:
     """Count symbols of one window into a pmf over ``kappa`` cells."""
     sym = np.asarray(symbols)
     if sym.size < 1:
         raise OutOfRangeError("window must hold at least one symbol")
-    if sym.min() < 0 or sym.max() >= kappa:
-        raise SymbolOutOfRangeError(f"symbols outside [0, {kappa})")
-    return EmpiricalPmf(np.bincount(sym.astype(np.int64), minlength=int(kappa)))
+    return EmpiricalPmf(np.bincount(_symbol_array(sym, kappa), minlength=int(kappa)))
 
 
 def _masses(p) -> np.ndarray:
@@ -101,12 +122,22 @@ def _log(masses: np.ndarray) -> np.ndarray:
 
 
 def _kl_rows(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """``sum p * (ln p - ln q)`` over the cells where ``p > 0``, against each row
-    of ``log_q``.  Differencing the logs cell by cell, not subtracting a cross
-    term from a self term, makes a row equal to ``ln p`` score exactly 0; a
-    row missing part of ``p``'s support scores +inf."""
+    """``sum p * (ln p - ln q)`` over the cells where ``p > 0``, for each pmf
+    (last axis) of ``p`` against each row of the 2-D ``log_q``: the result has
+    shape ``p.shape[:-1] + (len(log_q),)``.  Differencing the logs cell by
+    cell, not subtracting a cross term from a self term, makes a row equal to
+    ``ln p`` score exactly 0; a row missing part of ``p``'s support scores
+    +inf.  A cell where ``p`` is 0 adds an exact 0, whatever ``q`` holds, and
+    the terms are summed in cell order as one running sum, so those zeros
+    leave the result bitwise unchanged: a window scores the same over its
+    own support as over any wider set of cells."""
     on = p > 0.0
-    return (p[on] * (np.log(p[on]) - log_q[..., on])).sum(axis=-1)
+    log_p = np.log(p, out=np.zeros_like(p), where=on)
+    total = np.zeros(p.shape[:-1] + log_q.shape[:1])
+    for c in range(p.shape[-1]):  # one add per cell over every pmf and row
+        diff = log_p[..., c, None] - log_q[:, c]
+        total += np.multiply(p[..., c, None], diff, out=np.zeros_like(total), where=on[..., c, None])
+    return total
 
 
 def kl_divergence(p, q) -> float:
@@ -114,7 +145,7 @@ def kl_divergence(p, q) -> float:
     pm, qm = _masses(p), _masses(q)
     if pm.size != qm.size:
         raise AlphabetMismatchError(f"alphabet sizes differ: {pm.size} vs {qm.size}")
-    return float(_kl_rows(pm, _log(qm)))
+    return float(_kl_rows(pm, _log(qm)[None])[0])
 
 
 def gof_statistic(window: EmpiricalPmf, component: EmpiricalPmf) -> float:
@@ -155,7 +186,8 @@ class NullHypothesisSet:
 
     def __init__(self):
         self._components: list[EmpiricalPmf] = []
-        self._log_masses: np.ndarray | None = None  # one row per component
+        # one log-mass row per component; the capacity doubles when full
+        self._buffer = np.empty((0, 0))
 
     def __len__(self):
         return len(self._components)
@@ -164,20 +196,30 @@ class NullHypothesisSet:
     def components(self) -> tuple[EmpiricalPmf, ...]:
         return tuple(self._components)
 
+    @property
+    def _log_masses(self) -> np.ndarray:
+        return self._buffer[: len(self._components)]
+
     def add(self, pmf: EmpiricalPmf) -> None:
-        if self._components and pmf.kappa != self._components[0].kappa:
+        m = len(self._components)
+        if m and pmf.kappa != self._components[0].kappa:
             raise AlphabetMismatchError(
                 f"alphabet sizes differ: {pmf.kappa} vs {self._components[0].kappa}"
             )
-        row = _log(pmf.masses)[None]
+        if not m:
+            self._buffer = np.empty((1, pmf.kappa))
+        elif m == len(self._buffer):
+            self._buffer = np.concatenate((self._buffer, np.empty_like(self._buffer)))
+        self._buffer[m] = _log(pmf.masses)
         self._components.append(pmf)
-        self._log_masses = row if self._log_masses is None else np.vstack((self._log_masses, row))
 
     def min_statistic(self, window: EmpiricalPmf) -> float:
         """Smallest statistic against any stored component; +inf when empty."""
         if not self._components:
             return math.inf
-        return 2.0 * window.window * float(_kl_rows(window.masses, self._log_masses).min())
+        on = window.counts > 0
+        kl = _kl_rows(window.masses[on], self._log_masses[:, on])
+        return 2.0 * window.window * float(kl.min())
 
 
 @dataclass(frozen=True)
@@ -215,31 +257,75 @@ def gof_step(
     )
 
 
+def _chunk_windows(components: int, cells: int) -> int:
+    """The most windows ``s``, at least one, with ``s * cells * (components + s)``
+    within ``_CHUNK_ELEMENTS``: a chunk scores its windows against the stored
+    components and against each of its own windows that may join them."""
+    m = components
+    return max(1, int((math.sqrt(m * m + 4.0 * _CHUNK_ELEMENTS / cells) - m) / 2.0))
+
+
 def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, start: int):
     """Decide the windows of ``config.window`` symbols ending at ``start``,
-    ``start + 1``, ... of ``sym`` against ``null_set``, one event per window.
+    ``start + 1``, ... of ``sym`` against ``null_set``, one event per window,
+    each as ``gof_step`` decides that window alone.
 
-    Counts roll by one symbol per step.  The caller may stop between windows,
-    e.g. to change the codebook, and re-enter with a fresh stream.
+    Windows are taken in chunks sized by ``_chunk_windows``, over only the
+    cells the chunk's symbols occupy.  A chunk's rolling counts are one
+    ``bincount`` plus a cumulative sum of +1/-1 updates, and its statistics
+    against the stored components are one ``_kl_rows`` call.  The walk
+    through the chunk stops at each flagged window: its pmf joins the set
+    just before its event is yielded, then its own column is scored against
+    the rest of the chunk and folded into the running minimum.  The caller
+    may stop between events, e.g. to change the codebook, and re-enter with a
+    fresh stream; the set then holds exactly the flagged windows yielded.
     """
     n = config.window
     threshold = chi2_quantile(1.0 - config.alpha, kappa - 1)
-    counts = np.bincount(sym[start - n + 1 : start + 1], minlength=kappa)
-    for i in range(start, sym.size):
-        if i > start:
-            counts[sym[i]] += 1
-            counts[sym[i - n]] -= 1
-        yield gof_step(null_set, EmpiricalPmf(counts), threshold, index=i)
+    i = start
+    while i < sym.size:
+        m = len(null_set)
+        s = min(sym.size - i, _chunk_windows(m, min(kappa, n)))
+        cells, local = np.unique(sym[i - n + 1 : i + s], return_inverse=True)
+        if cells.size > min(kappa, n):  # wider than any one window: shrink the chunk
+            s = min(s, _chunk_windows(m, cells.size))
+            cells, local = np.unique(sym[i - n + 1 : i + s], return_inverse=True)
+        counts = np.zeros((s, cells.size), dtype=np.int64)
+        counts[0] = np.bincount(local[:n], minlength=cells.size)
+        rows = np.arange(1, s)
+        counts[rows, local[n:]] += 1  # the symbol entering window i + row
+        counts[rows, local[: s - 1]] -= 1  # and the one leaving it
+        counts = np.cumsum(counts, axis=0)
+        p = counts / n
+        best = _kl_rows(p, null_set._log_masses[:, cells]).min(axis=-1) if m else np.full(s, math.inf)
+        k = 0
+        while k < s:
+            stat = 2.0 * n * best[k:]
+            flags = np.flatnonzero(~(stat < threshold))
+            stop = k + int(flags[0]) if flags.size else s
+            tested = len(null_set)
+            for j, value in enumerate(stat[: stop - k].tolist(), start=i + k):
+                yield DetectionEvent(j, False, value, threshold, tested, kappa=kappa)
+            if stop == s:
+                break
+            full = np.zeros(kappa, dtype=np.int64)
+            full[cells] = counts[stop]
+            null_set.add(EmpiricalPmf(full))
+            yield DetectionEvent(i + stop, True, float(stat[stop - k]), threshold, tested, kappa=kappa)
+            k = stop + 1
+            if k < s:
+                column = _kl_rows(p[k:], null_set._log_masses[-1:, cells])[:, 0]
+                np.minimum(best[k:], column, out=best[k:])
+        i += s
 
 
 def run_detector(symbols, config: DetectorConfig = DetectorConfig()) -> list[DetectionEvent]:
-    """Roll a window over a fixed-alphabet symbol stream, one step at a time."""
-    sym = np.asarray(symbols).astype(np.int64)
+    """Roll a window over a fixed-alphabet symbol stream: one event per window."""
+    sym = np.asarray(symbols)
     n = config.window
     if sym.size < n:
         raise StreamTooShortError(f"stream of {sym.size} symbols < window {n}")
-    if sym.min() < 0 or sym.max() >= config.kappa:
-        raise SymbolOutOfRangeError(f"symbols outside [0, {config.kappa})")
+    sym = _symbol_array(sym, config.kappa)
     return list(_rolling(sym, config.kappa, config, NullHypothesisSet(), n - 1))
 
 
@@ -328,7 +414,9 @@ def run_csax_detector(
         raise StreamTooShortError(f"{reduced.size} blocks < window {n}")
 
     pre = np.asarray(pretraining, dtype=float).ravel()
-    pre_reduced = block_means(pre, paa_ratio)[0] if pre.size else pre
+    pre_reduced, block = block_means(pre, paa_ratio)
+    if pre.size and not pre_reduced.size:
+        raise StreamTooShortError(f"pretraining of {pre.size} values fills no block of {block}")
     seen = np.concatenate((pre_reduced, reduced))  # every sample, in stream order
     if not np.all(np.isfinite(seen)):
         raise OutOfRangeError("stream values must be finite")

@@ -1,6 +1,8 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+from saxkit import anomaly
 from saxkit.anomaly import (
     CsaxResult,
     DetectionEvent,
@@ -105,6 +108,12 @@ class TestEmpiricalPmf:
             empirical_pmf([], kappa=4)
         with pytest.raises(SymbolOutOfRangeError):
             empirical_pmf([0, 4], kappa=4)
+        for non_integral in ([0.5, 1.7], [0.0, np.nan], [1.0, 1.0 + 1e-12]):
+            with pytest.raises(SymbolOutOfRangeError):
+                empirical_pmf(non_integral, kappa=2)
+
+    def test_integral_floats_count_like_integers(self):
+        np.testing.assert_array_equal(empirical_pmf([0.0, 1.0, 1.0], kappa=3).counts, [1, 2, 0])
 
 
 class TestKlDivergence:
@@ -179,9 +188,10 @@ class TestNullHypothesisSet:
     def test_min_over_components_matches_naive_loop(self):
         rng = np.random.default_rng(0)
         s = NullHypothesisSet()
-        components = [empirical_pmf(rng.integers(0, 6, 60), kappa=6) for _ in range(8)]
+        components = [empirical_pmf(rng.integers(0, 6, 60), kappa=6) for _ in range(11)]
         for c in components:
             s.add(c)
+        assert s.components == tuple(components)
         for _ in range(20):
             w = empirical_pmf(rng.integers(0, 6, 60), kappa=6)
             expected = min(gof_statistic(w, c) for c in components)
@@ -297,17 +307,108 @@ class TestRunDetector:
         b = run_detector(stream, DetectorConfig(window=30, kappa=6))
         assert a == b
 
+    def test_integral_floats_decide_like_integers(self):
+        stream = np.random.default_rng(3).integers(0, 6, 200)
+        config = DetectorConfig(window=30, kappa=6)
+        assert run_detector(stream.astype(float), config) == run_detector(stream, config)
+
     def test_input_validation(self):
         with pytest.raises(StreamTooShortError):
             run_detector([0, 1], DetectorConfig(window=10, kappa=4))
         with pytest.raises(SymbolOutOfRangeError):
             run_detector([0, 5] * 20, DetectorConfig(window=10, kappa=4))
+        for non_integral in ([0.0, 1.9, 0.2], [0.0, np.nan, 1.0]):
+            with pytest.raises(SymbolOutOfRangeError):
+                run_detector(non_integral, DetectorConfig(window=1, kappa=2))
         with pytest.raises(InvalidParamsError):
             DetectorConfig(window=0)
         with pytest.raises(InvalidParamsError):
             DetectorConfig(alpha=1.5)
         with pytest.raises(InvalidParamsError):
             DetectorConfig(kappa=1)
+
+
+def reference_detector(symbols, config):
+    """The per-window loop: every window is counted afresh and decided by
+    ``gof_step`` against the set as it stands."""
+    sym = np.asarray(symbols)
+    n = config.window
+    threshold = chi2_quantile(1.0 - config.alpha, config.kappa - 1)
+    null_set = NullHypothesisSet()
+    return [
+        gof_step(null_set, empirical_pmf(sym[i - n + 1 : i + 1], config.kappa), threshold, index=i)
+        for i in range(n - 1, sym.size)
+    ]
+
+
+def assert_same_events(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.index, g.anomalous, g.threshold, g.components, g.rebuild, g.kappa) == (
+            w.index,
+            w.anomalous,
+            w.threshold,
+            w.components,
+            w.rebuild,
+            w.kappa,
+        )
+        assert g.min_statistic == w.min_statistic
+
+
+class TestRunDetectorAgainstThePerWindowLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.integers(2, 16),
+        window=st.integers(1, 60),
+        # near 0 only support mismatches flag; near 1 every window that is no
+        # exact copy of a stored one flags
+        alpha=st.one_of(st.sampled_from([1e-12, 0.05, 1.0 - 1e-12]), st.floats(1e-9, 1.0 - 1e-9)),
+        budget=st.sampled_from([1, 3, 40, anomaly._CHUNK_ELEMENTS]),
+        period=st.integers(1, 80),
+        extra=st.integers(0, 400),
+        noise=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_window_loop(self, kappa, window, alpha, budget, period, extra, noise, seed):
+        # a periodic stream repeats its windows exactly, which gives ties with
+        # stored components; noise replaces a share of the symbols at random
+        rng = np.random.default_rng(seed)
+        size = window + extra
+        symbols = np.resize(rng.integers(0, kappa, period), size)
+        symbols = np.where(rng.random(size) < noise, rng.integers(0, kappa, size), symbols)
+        config = DetectorConfig(window=window, alpha=alpha, kappa=kappa)
+        with mock.patch.object(anomaly, "_CHUNK_ELEMENTS", budget):
+            got = run_detector(symbols, config)
+        assert_same_events(got, reference_detector(symbols, config))
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 50, 400])
+    def test_chunk_edges_anywhere_around_flags(self, monkeypatch, budget):
+        # tiny budgets give chunks of one to a few windows, so their edges fall
+        # before, on and after the flagged windows of this stream
+        rng = np.random.default_rng(7)
+        symbols = np.concatenate([rng.integers(lo, lo + 3, 60) for lo in (0, 2, 0, 4, 1, 5)])
+        config = DetectorConfig(window=12, alpha=0.05, kappa=8)
+        monkeypatch.setattr(anomaly, "_CHUNK_ELEMENTS", budget)
+        got = run_detector(symbols, config)
+        assert 10 < sum(e.anomalous for e in got) < len(got) - 10
+        assert_same_events(got, reference_detector(symbols, config))
+
+    def test_every_window_flagged_at_kappa_4096(self):
+        # distinct symbols: each window holds a symbol no stored window has
+        symbols = np.random.default_rng(5).permutation(4096)[:301]
+        config = DetectorConfig(window=2, alpha=0.05, kappa=4096)
+        got = run_detector(symbols, config)
+        assert all(e.anomalous for e in got)
+        assert_same_events(got, reference_detector(symbols, config))
+
+    def test_many_flag_stream(self):
+        # uniform symbols over a wide alphabet flag most windows, so the null
+        # set doubles its capacity many times over the run
+        symbols = np.random.default_rng(6).integers(0, 300, 2000)
+        config = DetectorConfig(window=50, kappa=300)
+        got = run_detector(symbols, config)
+        assert sum(e.anomalous for e in got) > 1000
+        assert_same_events(got, reference_detector(symbols, config))
 
 
 class TestCalibration:
@@ -391,6 +492,16 @@ class TestCsaxDetector:
             run_csax_detector(stream, DetectorConfig(window=50), paa_ratio=0.0)
         with pytest.raises(StreamTooShortError):
             run_csax_detector(stream[:40], DetectorConfig(window=50))
+
+    def test_pretraining_that_fills_no_block_is_rejected(self):
+        stream = bimodal_stream(np.random.default_rng(4), 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pretraining in ([1.0], [1.0, 2.0, 3.0]):
+                with pytest.raises(StreamTooShortError):
+                    run_csax_detector(
+                        stream, DetectorConfig(window=50), pretraining=pretraining, paa_ratio=0.25
+                    )
 
     def test_non_finite_samples_rejected(self):
         rng = np.random.default_rng(4)
