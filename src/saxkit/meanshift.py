@@ -1,29 +1,23 @@
 """Mean-shift mode seeking on 1-D samples and the codebooks built from modes.
 
-The shift vector uses a Gaussian weight profile, whose shadow kernel is again
-Gaussian, so following the shift performs gradient ascent on the Gaussian KDE
-of the samples.  Every sample is a trajectory start; converged trajectory
-endpoints within half a bandwidth of each other merge into one mode.
-
-Two exact-result shortcuts keep large runs cheap.  First, the 1-D shift map
-``x -> x + m(x)`` has non-negative derivative (it moves a weighted mean), so
-trajectories preserve order: if two starts converge to the same endpoint, every
-start between them does too, and those trajectories need not be run.  Second,
-near a mode the iteration converges linearly, so a guarded geometric
-extrapolation of the step sequence jumps close to the fixed point; a jump is
-kept only when it shrinks the shift magnitude, otherwise plain steps continue.
+The shift vector uses a Gaussian weight profile, so following it climbs the
+Gaussian KDE of the samples.  In 1-D a trajectory started at a sample ends at
+the first density maximum uphill of it, so the modes mean-shift reaches from
+every sample are the KDE maxima whose basin holds a sample.  A binned KDE
+(grid step h/32) finds them and the valleys between them in one pass, and
+Newton steps on exact kernel sums polish each one: no trajectory is followed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, KernelKind, bandwidth_gradient
+from .density import DensityModel, KernelKind, _binned_gauss, _gauss_sums, bandwidth_gradient
 from .discretize import Codebook, CodebookMethod
 from .errors import (
+    InsufficientDistinctValuesError,
     NoConvergenceError,
     NonPositiveScaleError,
     OutOfRangeError,
@@ -38,9 +32,10 @@ __all__ = [
     "mean_shift_codebook",
 ]
 
-_EXHAUSTIVE_LIMIT = 160
-_COARSE_PROBES = 65
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A cutline search stops at a step under this many bandwidths, or after
+# this many steps (bisection reaches adjacent floats well before).
+_VALLEY_TOL = 1e-9
+_VALLEY_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -77,20 +72,6 @@ def _check_samples_bandwidth(samples, bandwidth):
     return x
 
 
-def _batch_shift(points: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty(points.size)
-    block = max(1, int(4_000_000 // max(samples.size, 1)))
-    for start in range(0, points.size, block):
-        p = points[start : start + block]
-        z = ((samples[None, :] - p[:, None]) / h) ** 2
-        # Shift weights are scale-free, so anchoring each row at its nearest
-        # sample avoids underflow for far-out query points.
-        z -= z.min(axis=1, keepdims=True)
-        w = np.exp(-0.5 * z)
-        out[start : start + block] = (w @ samples) / w.sum(axis=1) - p
-    return out
-
-
 def mean_shift_vector(samples, bandwidth: float, x: float) -> float:
     """Displacement of ``x`` toward the weighted mean of the samples.
 
@@ -101,72 +82,76 @@ def mean_shift_vector(samples, bandwidth: float, x: float) -> float:
     arr = _check_samples_bandwidth(samples, bandwidth)
     if not np.isfinite(x):
         raise OutOfRangeError(f"query point must be finite, got {x}")
-    return float(_batch_shift(np.asarray([float(x)]), arr, bandwidth)[0])
-
-
-def _iterate_trajectories(
-    starts: np.ndarray, samples: np.ndarray, h: float, tol: float, max_iter: int
-) -> np.ndarray:
-    """Follow the shift map from each start until the step drops below tol."""
-    pos = starts.astype(float).copy()
-    endpoint = np.full(pos.size, np.nan)
-    prev_step = np.full(pos.size, np.nan)
-    active = np.flatnonzero(np.ones(pos.size, dtype=bool))
-    for it in range(max_iter):
-        if active.size == 0:
-            return endpoint
-        shift = _batch_shift(pos[active], samples, h)
-        new = pos[active] + shift
-        step = np.abs(shift)
-        if it % 3 == 2:
-            # Geometric extrapolation: if steps decay with a stable ratio r,
-            # the remaining travel is about step * r / (1 - r).
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = shift / prev_step[active]
-            can = np.isfinite(ratio) & (ratio > 0.0) & (ratio < 0.97) & (step >= tol)
-            if can.any():
-                jump = np.flatnonzero(can)
-                cand = new[jump] + shift[jump] * ratio[jump] / (1.0 - ratio[jump])
-                cand_shift = _batch_shift(cand, samples, h)
-                good = np.abs(cand_shift) < 0.5 * step[jump]
-                new[jump[good]] = cand[good] + cand_shift[good]
-                shift[jump[good]] = cand_shift[good]
-                step[jump[good]] = np.abs(cand_shift[good])
-        conv = step < tol
-        endpoint[active[conv]] = new[conv]
-        prev_step[active] = shift
-        pos[active] = new
-        active = active[~conv]
-    raise NoConvergenceError(
-        f"{active.size} trajectories still moving after {max_iter} iterations",
-        partial=endpoint,
-    )
+    s0, s1, _, _ = _gauss_sums(arr, bandwidth, np.array([float(x)]))[:, 0]
+    return float(bandwidth * s1 / s0)
 
 
 def _merge_endpoints(endpoints: np.ndarray, h: float) -> np.ndarray:
     pts = np.sort(endpoints)
-    gaps = np.flatnonzero(np.diff(pts) > 0.5 * h)
-    groups = np.split(pts, gaps + 1)
-    modes = np.array([g.mean() for g in groups])
-    return np.unique(modes)
+    groups = np.split(pts, np.flatnonzero(np.diff(pts) > 0.5 * h) + 1)
+    return np.unique([g.mean() for g in groups])
+
+
+def _basin_peaks(grid_x: np.ndarray, f: np.ndarray, srt: np.ndarray) -> np.ndarray:
+    """Grid indices of the binned density's maxima whose basin holds a sample.
+
+    Consecutive maxima share the basin boundary at the lowest grid point
+    between them.
+    """
+    peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])) + 1
+    bounds = [p + int(np.argmin(f[p:q])) for p, q in zip(peaks[:-1], peaks[1:])]
+    held = np.bincount(np.searchsorted(grid_x[bounds], srt), minlength=peaks.size)
+    return peaks[held > 0]
+
+
+def _polish(samples, h, x, lo, hi, tol, max_iter, peak):
+    """Safeguarded Newton on the exact log density's slope, from each ``x`` to
+    the maximum (``peak``) or minimum bracketed by ``(lo, hi)``.  Each slope's
+    sign narrows its bracket.  A step that leaves the bracket or meets the
+    wrong curvature becomes a plain mean-shift step (maximum) or a bisection
+    (minimum).  Returns the points and which of them took a step under ``tol``.
+    """
+    sign = 1.0 if peak else -1.0
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    done = np.zeros(x.size, dtype=bool)
+    for _ in range(max_iter):
+        act = np.flatnonzero(~done)
+        if act.size == 0:
+            break
+        p = x[act]
+        s0, s1, s2, _ = _gauss_sums(samples, h, p)
+        lo[act] = np.where(sign * s1 > 0.0, p, lo[act])  # the extremum lies right of p
+        hi[act] = np.where(sign * s1 < 0.0, p, hi[act])
+        # Newton on the log density's slope s1 / (h s0), whose own slope has the
+        # sign of c: it is linear in a Gaussian tail, so gaps take a few steps
+        c = s0 * (s2 - s0) - s1 * s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = p - h * s0 * s1 / c
+        ok = (sign * c < 0.0) & (newton > lo[act]) & (newton < hi[act])
+        new = np.where(ok, newton, p + h * s1 / s0 if peak else 0.5 * (lo[act] + hi[act]))
+        x[act] = new
+        done[act] = np.abs(new - p) < tol
+    return x, done
 
 
 def mean_shift_modes(
     samples, bandwidth: float, tol: float | None = None, max_iter: int = 1000
 ) -> ModeSet:
-    """All modes reached by mean-shift trajectories started at every sample.
+    """The modes mean-shift trajectories reach from every sample.
 
-    Each trajectory iterates ``x <- x + m(x)`` until the shift magnitude drops
-    below ``tol`` (default ``1e-6 * bandwidth``); endpoints within half a
-    bandwidth merge into one mode at their mean.  Order preservation of the
-    1-D shift map lets runs with many distinct starts skip the trajectories
-    bracketed by two starts that already agree on their endpoint.
+    They are the Gaussian KDE's maxima whose basin holds a sample.  Each such
+    maximum of a binned KDE (grid step ``bandwidth / 32``) is polished on the
+    exact kernel sums: a Newton step on the log density where its curvature
+    is negative and the step stays inside the bracket the slopes seen so far
+    leave, else a plain mean-shift step.  A mode is the point reached by the first step shorter
+    than ``tol`` (default ``1e-6 * bandwidth``); ``max_iter`` bounds the steps
+    each mode may take.  Modes within half a bandwidth merge at their mean.
 
     Raises
     ------
     NoConvergenceError
-        If any trajectory exceeds ``max_iter``; ``partial`` carries the mode
-        set built from the trajectories that did converge, when any exist.
+        If any mode still moves after ``max_iter`` steps; ``partial`` carries
+        the mode set built from the modes that did converge, when any exist.
     """
     x = _check_samples_bandwidth(samples, bandwidth)
     h = float(bandwidth)
@@ -174,63 +159,36 @@ def mean_shift_modes(
         tol = 1e-6 * h
     if tol <= 0.0 or max_iter < 1:
         raise OutOfRangeError("tol must be positive and max_iter >= 1")
-    xs = np.unique(x)
-    try:
-        if xs.size <= _EXHAUSTIVE_LIMIT:
-            endpoints = _iterate_trajectories(xs, x, h, tol, max_iter)
-        else:
-            endpoints = _refined_endpoints(xs, x, h, tol, max_iter)
-    except NoConvergenceError as err:
-        done = err.partial[np.isfinite(err.partial)] if err.partial is not None else None
-        partial = None
-        if done is not None and done.size:
-            partial = ModeSet(_merge_endpoints(done, h), h, x.size)
-        raise NoConvergenceError(str(err), partial=partial) from None
-    return ModeSet(_merge_endpoints(endpoints, h), h, x.size)
-
-
-def _refined_endpoints(xs, samples, h, tol, max_iter):
-    # Probe a coarse subset of the sorted distinct starts, then bisect (by
-    # index) every adjacent pair whose endpoints disagree.  Agreeing pairs
-    # bracket all starts between them onto the same mode.
-    same = max(10.0 * tol, 1e-3 * h)
-    idx = np.unique(np.linspace(0, xs.size - 1, _COARSE_PROBES).round().astype(int))
-    known: dict[int, float] = {}
-    frontier = idx
-    while frontier.size:
-        ends = _iterate_trajectories(xs[frontier], samples, h, tol, max_iter)
-        known.update(zip(frontier.tolist(), ends.tolist()))
-        order = np.array(sorted(known))
-        vals = np.array([known[i] for i in order])
-        split = (np.diff(order) > 1) & (np.abs(np.diff(vals)) > same)
-        frontier = ((order[:-1] + order[1:]) // 2)[split]
-    return np.array([known[i] for i in sorted(known)])
-
-
-def _golden_min(f, a: float, b: float, xtol: float) -> float:
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    srt = np.sort(x)
+    grid_x, f = _binned_gauss(srt, h)
+    peaks = grid_x[_basin_peaks(grid_x, f, srt)]
+    bracket = np.r_[-np.inf, peaks, np.inf]  # each mode lies between its neighbouring peaks
+    modes, done = _polish(x, h, peaks, bracket[:-2], bracket[2:], tol, max_iter, peak=True)
+    if not done.all():
+        partial = ModeSet(_merge_endpoints(modes[done], h), h, x.size) if done.any() else None
+        raise NoConvergenceError(
+            f"{int(np.sum(~done))} modes still moving after {max_iter} steps", partial=partial
+        )
+    return ModeSet(_merge_endpoints(modes, h), h, x.size)
 
 
 def modes_to_codebook(mode_set: ModeSet, density: DensityModel) -> Codebook:
     """Codebook with centroids at the modes and cutlines at density minima.
 
-    Each cutline is the minimum of the density estimate between two adjacent
-    modes, located on a 1024-point grid and refined by golden-section search
-    to an absolute tolerance of 1e-6.  A single mode falls back to a 2-symbol
-    codebook split at the mode, with centroids one bandwidth either side.
+    ``density`` is the Gaussian KDE the modes came from.  Each cutline is the
+    exact minimum of the density between two adjacent modes: the lowest
+    point of a binned estimate (grid step ``bandwidth / 32``) between them,
+    refined to where the exact slope changes sign from negative to positive.
+    A single mode falls back to a 2-symbol codebook split at the mode, with
+    centroids one bandwidth either side.
+
+    Raises
+    ------
+    OutOfRangeError
+        If ``density`` does not use the Gaussian kernel.
     """
+    if density.kernel is not KernelKind.GAUSSIAN:
+        raise OutOfRangeError("mode codebooks cut the Gaussian KDE the modes came from")
     modes = mode_set.modes
     if modes.size == 1:
         m = float(modes[0])
@@ -241,14 +199,18 @@ def modes_to_codebook(mode_set: ModeSet, density: DensityModel) -> Codebook:
             centroids=np.array([m - spread, m + spread]),
             modes=modes,
         )
-    cutlines = np.empty(modes.size - 1)
-    for i in range(modes.size - 1):
-        grid = np.linspace(modes[i], modes[i + 1], 1024)
-        dens = density.pdf(grid)
-        j = int(np.clip(np.argmin(dens[1:-1]) + 1, 1, 1022))
-        cutlines[i] = _golden_min(
-            lambda v: density.pdf(float(v)), float(grid[j - 1]), float(grid[j + 1]), 1e-6
-        )
+    h = float(density.bandwidth)
+    grid_x, f = _binned_gauss(density._sorted, h)
+    left, right = modes[:-1], modes[1:]
+    # start at the lowest grid point between two modes, as two valleys can
+    # lie between them; modes beyond the grid start from their middle
+    start = 0.5 * (left + right)
+    for i, (j, k) in enumerate(zip(*np.searchsorted(grid_x, [left, right], side="right"))):
+        if j < k:
+            start[i] = grid_x[j + int(np.argmin(f[j:k]))]
+    cutlines, _ = _polish(
+        density.samples, h, start, left, right, _VALLEY_TOL * h, _VALLEY_STEPS, peak=False
+    )
     return Codebook(CodebookMethod.MEAN_SHIFT, cutlines, modes, modes=modes)
 
 
@@ -257,7 +219,18 @@ def mean_shift_codebook(samples: np.ndarray) -> tuple[Codebook, DensityModel]:
 
     The bandwidth follows the gradient rule on the pool's population std; the
     modes of that KDE become the centroids (see :func:`modes_to_codebook`).
+
+    Raises
+    ------
+    InsufficientDistinctValuesError
+        If the pool holds no value change: it has no spread to set a
+        bandwidth from, and a longer window or pretraining is needed.
     """
+    samples = np.asarray(samples, dtype=float)
+    if not np.any(samples[1:] != samples[:1]):
+        raise InsufficientDistinctValuesError(
+            f"pool of {samples.size} samples has no value change; a longer window or pretraining is needed"
+        )
     h = bandwidth_gradient(KernelKind.GAUSSIAN, float(np.std(samples)), samples.size)
     density = DensityModel(samples, KernelKind.GAUSSIAN, h)
     return modes_to_codebook(mean_shift_modes(samples, h), density), density

@@ -32,6 +32,7 @@ from saxkit.anomaly import (
 from saxkit.discretize import quantize
 from saxkit.errors import (
     AlphabetMismatchError,
+    InsufficientDistinctValuesError,
     InvalidParamsError,
     OutOfRangeError,
     StreamTooShortError,
@@ -307,6 +308,27 @@ class TestRunDetector:
         b = run_detector(stream, DetectorConfig(window=30, kappa=6))
         assert a == b
 
+    def test_a_statistic_on_the_threshold_flags(self, monkeypatch):
+        stream = np.random.default_rng(2).integers(0, 4, 300)
+        config = DetectorConfig(window=20, kappa=4)
+        events = run_detector(stream, config)
+        # the first unflagged window: every window before it stays flagged at a
+        # lower threshold, so the set it is tested against is unchanged
+        j = next(k for k, e in enumerate(events) if not e.anomalous)
+        stat = events[j].min_statistic
+        assert 0.0 < stat < math.inf
+        monkeypatch.setattr(anomaly, "chi2_quantile", lambda p, dof: stat)
+        replay = run_detector(stream, config)
+        assert all(e.anomalous for e in replay[: j + 1])
+        assert replay[j].min_statistic == stat
+
+        null_set = NullHypothesisSetWith(
+            [empirical_pmf(stream[e.index - 19 : e.index + 1], 4) for e in events[:j]]
+        )
+        window = empirical_pmf(stream[events[j].index - 19 : events[j].index + 1], 4)
+        step = gof_step(null_set, window, stat, index=events[j].index)
+        assert step.anomalous and step.min_statistic == stat
+
     def test_integral_floats_decide_like_integers(self):
         stream = np.random.default_rng(3).integers(0, 6, 200)
         config = DetectorConfig(window=30, kappa=6)
@@ -502,6 +524,18 @@ class TestCsaxDetector:
                     run_csax_detector(
                         stream, DetectorConfig(window=50), pretraining=pretraining, paa_ratio=0.25
                     )
+
+    def test_a_first_codebook_with_no_value_change_is_rejected(self):
+        stream = bimodal_stream(np.random.default_rng(4), 400)
+        flat_start = np.r_[np.zeros(60), np.random.default_rng(5).normal(size=2000)]
+        cases = [
+            (flat_start, {}),
+            (stream, {"pretraining": [1.0, 1.0, 1.0]}),
+            (stream, {"pretraining": [1.0, 2.0, 3.0, 4.0], "paa_ratio": 0.25}),
+        ]
+        for values, kwargs in cases:
+            with pytest.raises(InsufficientDistinctValuesError, match="longer window or pretraining"):
+                run_csax_detector(values, DetectorConfig(window=50), **kwargs)
 
     def test_non_finite_samples_rejected(self):
         rng = np.random.default_rng(4)

@@ -33,6 +33,7 @@ from saxkit.errors import (
     ConstantSeriesError,
     EmptyTrainingError,
     IndivisibleLengthError,
+    InsufficientDistinctValuesError,
     OutOfRangeError,
     SymbolOutOfRangeError,
     TooShortError,
@@ -108,6 +109,10 @@ class TestFit:
         assert enc.codebook.method is CodebookMethod.MEAN_SHIFT
         assert enc.codebook.kappa == 2
         assert enc.density.kernel.value == "gaussian"
+
+    def test_csax_rejects_a_pool_with_no_value_change(self):
+        with pytest.raises(InsufficientDistinctValuesError, match="longer window or pretraining"):
+            fit(EncoderSpec(CSAX, 5), [np.full(10, 2.0)])
 
     def test_fit_is_deterministic_for_a_seed(self, gaussian_pool):
         a = fit(EncoderSpec(ASAX, 8, kappa=4, seed=3), [gaussian_pool])

@@ -1,20 +1,25 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saxkit.anomaly import block_means
 from saxkit.density import DensityModel, KernelKind, bandwidth_gradient
 from saxkit.discretize import CodebookMethod
 from saxkit.errors import (
+    InsufficientDistinctValuesError,
     NoConvergenceError,
     NonPositiveScaleError,
     OutOfRangeError,
     TooShortError,
 )
+from saxkit.harness import generate_synthetic
 from saxkit.meanshift import (
     ModeSet,
+    mean_shift_codebook,
     mean_shift_modes,
     mean_shift_vector,
     modes_to_codebook,
@@ -47,6 +52,30 @@ def naive_modes(samples, h, tol):
     pts = np.sort(ends)
     groups = np.split(pts, np.flatnonzero(np.diff(pts) > 0.5 * h) + 1)
     return np.array([g.mean() for g in groups])
+
+
+def naive_curvature_sign(samples, h, x):
+    """Sign of the Gaussian KDE's second derivative at ``x``, by direct sums."""
+    u = (np.asarray(samples, dtype=float) - x) / h
+    return np.sign(np.sum(np.exp(-0.5 * u * u) * (u * u - 1.0)))
+
+
+def plain_step_endpoint(samples, h, start):
+    """Where plain mean-shift steps from ``start`` stop (step under 1e-6 h)."""
+    x = float(start)
+    for _ in range(10_000):
+        step = naive_shift(samples, h, x)
+        x += step
+        if abs(step) < 1e-6 * h:
+            return x
+    raise AssertionError("plain steps did not converge")
+
+
+def level_shift_pool(length):
+    """A CSAX rebuild pool: block means (ratio 0.5) of a stream prefix."""
+    values = generate_synthetic("level_shift_anomalies", 20000, seed=12).values
+    pool = block_means(values[:length], 0.5)[0]
+    return pool, bandwidth_gradient(KernelKind.GAUSSIAN, float(np.std(pool)), pool.size)
 
 
 def bimodal_sample(rng, n, centers=(-2.0, 2.0), sd=0.4):
@@ -187,6 +216,47 @@ class TestModeSeeking:
             ModeSet(np.array([]), 1.0, 10)
 
 
+class TestModesAreTheDensityMaxima:
+    def test_a_sample_at_a_density_minimum_is_not_a_mode(self):
+        a = np.random.default_rng(0).normal(-3.0, 0.5, 200)
+        samples = np.r_[a, -a, 0.0]
+        # at h = 1 the lone sample at 0 sits in the valley (positive
+        # curvature): its shift is zero, but it is no maximum
+        assert naive_curvature_sign(samples, 1.0, 0.0) > 0.0
+        result = mean_shift_modes(samples, 1.0)
+        assert len(result) == 2
+        np.testing.assert_allclose(result.modes, [-2.98, 2.98], atol=0.05)
+
+    def test_every_mode_of_a_rebuild_pool_is_a_maximum(self):
+        # an AR(1) prefix whose density has a minimum right on a sample
+        pool = np.asarray(generate_synthetic("ar1", 8000, seed=5).values)[:982]
+        h = bandwidth_gradient(KernelKind.GAUSSIAN, float(np.std(pool)), pool.size)
+        modes = mean_shift_modes(pool, h).modes
+        assert [naive_curvature_sign(pool, h, m) for m in modes] == [-1.0] * modes.size
+
+    @pytest.mark.parametrize("length", [12238, 18938])
+    def test_the_mode_reached_from_the_largest_value_is_found(self, length):
+        pool, h = level_shift_pool(length)
+        end = plain_step_endpoint(pool, h, pool.max())
+        modes = mean_shift_modes(pool, h).modes
+        assert np.min(np.abs(modes - end)) < 1e-3
+
+    def test_a_shoulder_mode_next_to_its_valley_is_kept(self):
+        # the valley lies 0.066 bandwidths from the mode at 2.6767
+        pool, h = level_shift_pool(12226)
+        modes = mean_shift_modes(pool, h).modes
+        assert len(modes) == 2
+        assert abs(modes[1] - 2.6767) < 1e-3
+
+    def test_a_far_outlier_is_its_own_mode_at_little_cost(self):
+        samples = np.r_[np.random.default_rng(12).normal(size=500), 1e8]
+        start = time.perf_counter()
+        modes = mean_shift_modes(samples, 0.3).modes
+        assert time.perf_counter() - start < 1.0
+        assert modes[-1] == 1e8
+        assert np.all(np.abs(modes[:-1]) < 5.0)
+
+
 class TestModesToCodebook:
     def test_cutline_sits_at_the_density_valley(self):
         rng = np.random.default_rng(9)
@@ -226,3 +296,26 @@ class TestModesToCodebook:
         np.testing.assert_allclose(cb.centroids, [m - 1.2, m + 1.2], atol=1e-12)
         np.testing.assert_array_equal(cb.modes, modes.modes)
 
+
+    def test_cutlines_are_exact_density_minima(self):
+        rng = np.random.default_rng(12)
+        samples = np.concatenate([rng.normal(-2.0, 0.5, 300), rng.normal(1.0, 0.4, 200), [9.0]])
+        h = bandwidth_gradient(KernelKind.GAUSSIAN, float(np.std(samples)), samples.size)
+        cb = modes_to_codebook(mean_shift_modes(samples, h), DensityModel(samples, KernelKind.GAUSSIAN, h))
+        assert cb.kappa == 3
+        for cut in cb.cutlines:
+            assert abs(naive_shift(samples, h, cut)) < 1e-9 * h
+            assert naive_curvature_sign(samples, h, cut) > 0.0
+
+    def test_needs_the_gaussian_kde(self):
+        samples = np.array([0.0, 0.1, 3.0, 3.1])
+        modes = mean_shift_modes(samples, 0.3)
+        with pytest.raises(OutOfRangeError):
+            modes_to_codebook(modes, DensityModel(samples, KernelKind.EPANECHNIKOV, 0.3))
+
+
+class TestMeanShiftCodebook:
+    def test_a_pool_with_no_value_change_is_rejected(self):
+        for pool in (np.zeros(50), np.full(3, 1.0), np.array([2.5])):
+            with pytest.raises(InsufficientDistinctValuesError, match="longer window or pretraining"):
+                mean_shift_codebook(pool)
