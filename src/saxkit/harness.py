@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .anomaly import DetectionEvent, DetectorConfig, block_means, run_detector
 from .codec import EncoderSpec, EncodingMethod, NormalizationMode, encoder_space, fit
@@ -28,8 +29,8 @@ from .errors import (
     TooShortError,
     ZeroDistanceError,
 )
-from .metrics import _dist_error, _tlb, euclidean
-from .series import TimeSeries, _row_stats, znormalize
+from .metrics import _dist_error, _euclidean, _tlb
+from .series import TimeSeries, _row_stats
 
 __all__ = [
     "LabeledStream",
@@ -495,6 +496,9 @@ class SubsequencePool:
     mean is exactly zero); ``frames_unit`` additionally rescales each row to
     unit PAA variance, the space variance-restoring encoders quantize in.
     Rows whose window, or whose PAA frame, is constant are marked invalid.
+    Both frame arrays are C-ordered ``(count, segments)`` arrays built from
+    one pass of prefix sums; :meth:`windows` Z-normalizes any stack of raw
+    windows at once.
     """
 
     corpus: np.ndarray
@@ -508,10 +512,21 @@ class SubsequencePool:
     def count(self) -> int:
         return self.frames.shape[0]
 
+    def windows(self, starts) -> np.ndarray:
+        """The raw windows at ``starts``, each Z-normalized on its own, as rows.
+
+        A row's values do not depend on the other rows of the stack.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        if starts.size and not 0 <= starts.min() <= starts.max() < self.count:
+            raise OutOfRangeError(f"window starts must lie in [0, {self.count})")
+        rows = sliding_window_view(self.corpus, self.length)[starts]
+        mean, std = _row_stats(rows)
+        return (rows - mean) / std
+
     def window(self, i: int) -> TimeSeries:
         """The i-th raw window, Z-normalized on its own."""
-        raw = TimeSeries(self.corpus[i : i + self.length])
-        return znormalize(raw)[0]
+        return TimeSeries(self.windows([i])[0])
 
 
 def build_pool(corpus, length: int, segments: int) -> SubsequencePool:
@@ -529,22 +544,26 @@ def build_pool(corpus, length: int, segments: int) -> SubsequencePool:
     csum = np.concatenate(([0.0], np.cumsum(centred)))
     csq = np.concatenate(([0.0], np.cumsum(centred * centred)))
     changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
-    starts = np.arange(count)
-    means = (csum[starts + length] - csum[starts]) / length
-    variances = (csq[starts + length] - csq[starts]) / length - means**2
+    means = (csum[length:] - csum[:-length]) / length
+    variances = (csq[length:] - csq[:-length]) / length - means**2
     stds = np.sqrt(np.maximum(variances, 0.0))
-    valid = (stds > 0.0) & (changes[starts + length - 1] > changes[starts])
+    valid = (stds > 0.0) & (changes[length - 1 :] > changes[:count])
 
-    edges = starts[:, None] + np.arange(segments + 1)[None, :] * width
-    segment_means = (csum[edges[:, 1:]] - csum[edges[:, :-1]]) / width
+    # segment k of the window at s is the width-block at s + k*width: a
+    # strided view, made C-ordered by its first arithmetic so that the row
+    # sums below add in the same order as a single row's
+    blocks = (csum[width:] - csum[:-width]) / width
+    segment_means = sliding_window_view(blocks, length - width + 1)[:, ::width]
     safe_std = np.where(valid, stds, 1.0)
-    frames = (segment_means - means[:, None]) / safe_std[:, None]
+    frames = np.subtract(segment_means, means[:, None], order="C")
+    frames /= safe_std[:, None]
     frames[~valid] = 0.0
 
-    rms = np.sqrt(np.mean(frames**2, axis=1))
+    frames_unit = np.square(frames)  # the squares, then the unit frames in place
+    rms = np.sqrt(np.mean(frames_unit, axis=1))
     valid &= rms > 0.0
     safe_rms = np.where(rms > 0.0, rms, 1.0)
-    frames_unit = frames / safe_rms[:, None]
+    np.divide(frames, safe_rms[:, None], out=frames_unit)
     frames_unit[~valid] = 0.0
 
     frames.flags.writeable = False
@@ -556,32 +575,45 @@ def build_pool(corpus, length: int, segments: int) -> SubsequencePool:
 def _training_subset(pool: SubsequencePool, mode: NormalizationMode, rng) -> np.ndarray:
     """Square-root sized sample of the flat PAA value pool, without replacement.
 
-    The flat index stream comes from the caller's RNG, so passing the same
-    generator state for different normalization modes picks value-for-value
-    aligned subsets.
+    The flat pool is ``source[pool.valid].ravel()``; the sample reads its
+    values by flat index without building it.  The flat index stream comes
+    from the caller's RNG, so passing the same generator state for different
+    normalization modes picks value-for-value aligned subsets.
     """
     source = pool.frames_unit if mode is NormalizationMode.PAA_ZNORM else pool.frames
-    flat = source[pool.valid].ravel()
-    if flat.size == 0:
+    rows = np.flatnonzero(pool.valid)
+    size = rows.size * pool.segments
+    if size == 0:
         raise TooShortError("no valid subsequences to train on")
-    k = math.ceil(math.sqrt(flat.size))
-    return flat[rng.choice(flat.size, size=k, replace=False)]
+    flat = rng.choice(size, size=math.ceil(math.sqrt(size)), replace=False)
+    return source[rows[flat // pool.segments], flat % pool.segments]
 
 
-def _draw_pair(pool: SubsequencePool, rng, attempts: int = 1000):
+def _draw_pairs(pool: SubsequencePool, rngs, attempts: int = 1000):
+    """One pair of Z-normalized windows per generator, as two ``(trials, N)`` stacks.
+
+    Each trial draws two valid window starts at a time from its own generator
+    until they differ and their windows do not coincide.  All first draws are
+    normalized as one stack; only the rejected trials draw again.
+    """
     candidates = np.flatnonzero(pool.valid)
     if candidates.size < 2:
         raise TooShortError("need at least two valid subsequences")
-    for _ in range(attempts):
-        i, j = candidates[rng.integers(0, candidates.size, size=2)]
-        if i == j:
-            continue
-        u = pool.window(int(i))
-        v = pool.window(int(j))
-        if euclidean(u, v) == 0.0:
-            continue
-        return u, v
-    raise ZeroDistanceError(f"no usable pair after {attempts} draws")
+    starts = candidates[np.array([rng.integers(0, candidates.size, size=2) for rng in rngs])]
+    pairs = pool.windows(starts.ravel()).reshape(len(rngs), 2, pool.length)
+    rejected = (starts[:, 0] == starts[:, 1]) | (_euclidean(pairs[:, 0], pairs[:, 1]) == 0.0)
+    for trial in np.flatnonzero(rejected):
+        for _ in range(attempts - 1):
+            ij = candidates[rngs[trial].integers(0, candidates.size, size=2)]
+            if ij[0] == ij[1]:
+                continue
+            pair = pool.windows(ij)
+            if _euclidean(pair[0], pair[1]) != 0.0:
+                pairs[trial] = pair
+                break
+        else:
+            raise ZeroDistanceError(f"no usable pair after {attempts} draws")
+    return pairs[:, 0], pairs[:, 1]
 
 
 def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) -> list[dict]:
@@ -592,6 +624,20 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
     then all methods score the same randomly drawn subsequence pairs.  TLB
     averages over pairs; RMSE averages over the first subsequence of each
     pair, mapped back to the common Z-normalized-window space.
+
+    Each cell builds its pool once, samples one training subset per
+    normalization mode, Z-normalizes all pairs as one stack and scores them
+    as two stacks.  Trial ``t`` draws its pair from the generator keyed
+    ``(seed, cell_id, t)``, redrawing while the two windows are the same or
+    coincide, so every record equals scoring one pair at a time with
+    ``metrics.tlb`` and ``metrics.dist_error``, summed in trial order.
+
+    Raises
+    ------
+    TooShortError
+        If a cell's pool has fewer than two valid windows.
+    ZeroDistanceError
+        If a trial finds no non-coinciding pair in 1000 draws.
     """
     x = corpus.values if isinstance(corpus, TimeSeries) else np.asarray(corpus, dtype=float)
     methods = tuple(EncodingMethod(m) for m in methods)
@@ -604,16 +650,15 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
         return records
     for cell_id, n, budget, kappa, segments in grid.cells():
         pool = build_pool(x, n, segments)
-        pairs = [
-            _draw_pair(pool, np.random.default_rng([grid.seed, cell_id, trial]))
-            for trial in range(grid.trials)
-        ]
-        first = np.stack([u.values for u, _ in pairs])
-        second = np.stack([v.values for _, v in pairs])
+        rngs = [np.random.default_rng([grid.seed, cell_id, trial]) for trial in range(grid.trials)]
+        first, second = _draw_pairs(pool, rngs)
+        subsets = {}  # every method draws its subset from the same generator state
         for method in methods:
             spec = EncoderSpec(method, segments=segments, kappa=kappa, seed=grid.seed)
-            rng_cell = np.random.default_rng([grid.seed, cell_id])
-            enc = fit(spec, [_training_subset(pool, spec.normalization, rng_cell)])
+            if spec.normalization not in subsets:
+                rng_cell = np.random.default_rng([grid.seed, cell_id])
+                subsets[spec.normalization] = _training_subset(pool, spec.normalization, rng_cell)
+            enc = fit(spec, [subsets[spec.normalization]])
             space = encoder_space(enc, first)
             full, reduced, scale = space
             tlbs = _tlb(enc, space, encoder_space(enc, second))

@@ -150,7 +150,15 @@ def dist_symbolic(a: SymbolicSequence, b: SymbolicSequence) -> float:
 
 
 def dist_error(u, c: SymbolicSequence) -> float:
-    """Root mean squared error between a series and a symbolic reconstruction."""
+    """Root mean squared error between a series and a symbolic reconstruction.
+
+    The centroids live in the encoder's space, so for an encoder that
+    normalizes, ``u`` must be in that space too:
+    ``dist_error(normalized_series(enc, u), encode(enc, u))``.  Times
+    ``normalization_scale(enc, u)`` this is the per-pair RMSE that
+    ``harness.run_tlb_rmse_experiment`` averages.  A raw Z-normalized window
+    against a ``PaaZNorm`` sequence mixes two spaces and gives another figure.
+    """
     x = _values(u)
     if x.size != c.source_length:
         raise LengthMismatchError(

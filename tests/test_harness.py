@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saxkit.anomaly import DetectionEvent, DetectorConfig
-from saxkit.codec import EncodingMethod
+from saxkit.codec import (
+    EncoderSpec,
+    EncodingMethod,
+    NormalizationMode,
+    encode,
+    fit,
+    normalization_scale,
+    normalized_series,
+)
 from saxkit.errors import (
     ConstantSeriesError,
     EmptyFileError,
@@ -19,8 +27,10 @@ from saxkit.errors import (
     OutOfRangeError,
     ParseError,
     TooShortError,
+    ZeroDistanceError,
 )
 from saxkit.harness import (
+    METHOD_ORDER,
     ExperimentGrid,
     LabeledStream,
     RocCurve,
@@ -43,6 +53,7 @@ from saxkit.harness import (
     write_roc_csv,
     write_series_csv,
 )
+from saxkit.metrics import dist_error, euclidean, tlb
 from saxkit.series import TimeSeries, paa, znormalize
 
 
@@ -283,10 +294,18 @@ class TestSubsequencePool:
         np.testing.assert_allclose(pool.frames[ok], expected[ok], atol=1e-10)
 
     def test_unit_frames_have_unit_rms(self):
+        # exact per row: a frame array in another memory order sums its rows
+        # in another order, which (64, 8) shows and (20, 5) does not
         rng = np.random.default_rng(5)
-        pool = build_pool(rng.normal(size=200), 20, 5)
-        rms = np.sqrt(np.mean(pool.frames_unit[pool.valid] ** 2, axis=1))
-        np.testing.assert_allclose(rms, 1.0, atol=1e-12)
+        for (length, segments), size in (((20, 5), 200), ((64, 8), 600)):
+            pool = build_pool(rng.normal(size=size), length, segments)
+            rows = np.flatnonzero(pool.valid)
+            assert rows.size > 0
+            for r in rows:
+                frame = pool.frames[r]
+                np.testing.assert_array_equal(pool.frames_unit[r], frame / np.sqrt(np.mean(frame**2)))
+            rms = np.sqrt(np.mean(pool.frames_unit[pool.valid] ** 2, axis=1))
+            np.testing.assert_allclose(rms, 1.0, atol=1e-12)
 
     def test_constant_windows_are_invalid(self):
         corpus = np.concatenate([np.random.default_rng(6).normal(size=50), np.full(30, 2.0)])
@@ -325,6 +344,11 @@ class TestSubsequencePool:
         pool = build_pool(corpus, 16, 4)
         w = pool.window(10)
         np.testing.assert_allclose(paa(w, 4).values, pool.frames[10], atol=1e-10)
+        np.testing.assert_array_equal(w.values, znormalize(TimeSeries(corpus[10:26]))[0].values)
+        np.testing.assert_array_equal(pool.windows([84, 10, 84])[1], w.values)
+        for start in (-1, 85):
+            with pytest.raises(OutOfRangeError):
+                pool.window(start)
 
     def test_too_short_and_indivisible(self):
         with pytest.raises(TooShortError):
@@ -370,6 +394,81 @@ class TestTlbRmseExperiment:
             run_tlb_rmse_experiment(np.zeros(8), grid)
         with pytest.raises(InvalidParamsError):
             run_tlb_rmse_experiment(corpus, grid, ("SAX", "SAX"))
+
+
+def one_pair_records(corpus, grid, methods=METHOD_ORDER):
+    """The grid scored one pair and one series at a time, trial by trial."""
+    x = np.asarray(corpus, dtype=float)
+    records = []
+    for cell_id, n, budget, kappa, segments in grid.cells():
+        pool = build_pool(x, n, segments)
+        candidates = np.flatnonzero(pool.valid)
+        pairs = []
+        for trial in range(grid.trials):
+            rng = np.random.default_rng([grid.seed, cell_id, trial])
+            for _ in range(1000):
+                i, j = candidates[rng.integers(0, candidates.size, size=2)]
+                if i == j:
+                    continue
+                u, v = (znormalize(TimeSeries(x[s : s + n]))[0] for s in (i, j))
+                if euclidean(u, v) > 0.0:
+                    pairs.append((u, v))
+                    break
+            else:
+                raise AssertionError("no usable pair")
+        for method in methods:
+            spec = EncoderSpec(method, segments=segments, kappa=kappa, seed=grid.seed)
+            source = pool.frames_unit if spec.normalization is NormalizationMode.PAA_ZNORM else pool.frames
+            flat = source[pool.valid].ravel()
+            rng = np.random.default_rng([grid.seed, cell_id])
+            enc = fit(spec, [flat[rng.choice(flat.size, size=math.ceil(math.sqrt(flat.size)), replace=False)]])
+            tlb_sum = err_sum = 0.0
+            for u, v in pairs:
+                tlb_sum += tlb(u, v, enc)
+                err_sum += dist_error(normalized_series(enc, u), encode(enc, u)) * normalization_scale(enc, u)
+            records.append(
+                {
+                    "length": n,
+                    "bytes": budget,
+                    "kappa": kappa,
+                    "segments": segments,
+                    "method": spec.method.value,
+                    "alphabet": enc.codebook.kappa,
+                    "trials": grid.trials,
+                    "tlb_mean": tlb_sum / grid.trials,
+                    "rmse_mean": err_sum / grid.trials,
+                }
+            )
+    return records
+
+
+class TestGridEqualsOnePairScoring:
+    def test_random_walk_with_a_constant_stretch(self):
+        c = np.cumsum(np.random.default_rng(4).normal(size=3000))
+        c[1000:1100] = 4.0
+        grid = ExperimentGrid(lengths=(64,), byte_budgets=(8,), kappas=(16,), trials=25, seed=4)
+        assert not build_pool(c, 64, 16).valid[1000:1037].any()
+        assert run_tlb_rmse_experiment(c, grid) == one_pair_records(c, grid)
+
+    def test_periodic_corpus_rejects_first_draws(self):
+        corpus = np.tile(np.random.default_rng(0).normal(size=20), 5)
+        grid = ExperimentGrid(lengths=(16,), byte_budgets=(2,), kappas=(16,), trials=100, seed=0)
+        # windows 20 apart coincide: 8 of the 100 first draws must draw again
+        candidates = np.flatnonzero(build_pool(corpus, 16, 4).valid)
+        first = [candidates[np.random.default_rng([0, 0, t]).integers(0, candidates.size, size=2)] for t in range(100)]
+        assert sum((i - j) % 20 == 0 for i, j in first) == 8
+        assert run_tlb_rmse_experiment(corpus, grid) == one_pair_records(corpus, grid)
+
+    def test_coinciding_pairs_raise(self):
+        # every window of a geometric series Z-normalizes to the same values
+        grid = ExperimentGrid(lengths=(16,), byte_budgets=(2,), kappas=(16,), trials=1)
+        with pytest.raises(ZeroDistanceError):
+            run_tlb_rmse_experiment(2.0 ** np.arange(17), grid)
+
+    def test_one_valid_window_raises(self):
+        grid = ExperimentGrid(lengths=(16,), byte_budgets=(2,), kappas=(16,), trials=1)
+        with pytest.raises(TooShortError):
+            run_tlb_rmse_experiment(np.r_[np.zeros(16), 1.0], grid)
 
 
 class TestPivot:
