@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaincc, gammaincinv
 
 from .density import SILVERMAN_CONSTANT
 from .discretize import Codebook, quantize
@@ -159,6 +158,8 @@ def gof_statistic(window: EmpiricalPmf, component: EmpiricalPmf) -> float:
 
 def chi2_quantile(p: float, dof: int) -> float:
     """Inverse chi-square CDF: twice the inverse regularized lower incomplete gamma."""
+    from scipy.special import gammaincinv  # imported here: scipy.special is slow to load
+
     if not 0.0 < p < 1.0:
         raise OutOfRangeError(f"probability must be in (0, 1), got {p}")
     if dof < 1:
@@ -467,6 +468,8 @@ def window_scores(events) -> np.ndarray:
     degrees of freedom) changed during the run; infinite statistics map to an
     infinite score.
     """
+    from scipy.special import gammaincc  # imported here: scipy.special is slow to load
+
     stats = np.array([ev.min_statistic for ev in events], dtype=float)
     dof = np.maximum(np.array([ev.kappa for ev in events], dtype=float) - 1.0, 1.0)
     with np.errstate(divide="ignore"):  # a zero tail probability scores +inf

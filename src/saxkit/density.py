@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NonPositiveScaleError, OutOfRangeError, TooShortError
 
@@ -317,6 +316,8 @@ def _binned_gauss(srt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 # Gaussian kernel antiderivatives, from -inf, of K(t), t*K(t) and t^2*K(t).
 def _kernel_cdf(u: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtr  # imported here: scipy.special is slow to load
+
     return ndtr(u)
 
 
@@ -330,7 +331,7 @@ def _kernel_moment2(u: np.ndarray) -> np.ndarray:
     phi = _INV_SQRT_2PI * np.exp(-0.5 * np.minimum(u * u, 1500.0))
     # mask u before multiplying so infinite edges cannot produce inf * 0
     finite_u = np.where(np.isinf(u), 0.0, u)
-    return ndtr(u) - finite_u * phi
+    return _kernel_cdf(u) - finite_u * phi
 
 
 def kde_cdf(model: DensityModel, a: float, b: float) -> float:

@@ -18,8 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtri
 
 from .density import DensityModel, kde_cell_moments
 from .errors import (
@@ -176,6 +174,8 @@ def gaussian_equiprobable_codebook(kappa: int) -> Codebook:
     Cutlines are standard-normal quantiles at ``i/kappa``; centroids are the
     conditional means of each cell, ``kappa * (phi(b_i) - phi(b_{i+1}))``.
     """
+    from scipy.special import ndtri  # imported here: scipy.special is slow to load
+
     kappa = int(kappa)
     if kappa < 2:
         raise AlphabetTooSmallError(f"alphabet size must be >= 2, got {kappa}")
@@ -377,6 +377,8 @@ def _newton_iterate(model, cutlines, mass, centroids, updated):
     tridiagonal.  Returns None when the iterate is not finite and strictly
     increasing.
     """
+    from scipy.linalg import solve_banded  # imported here: scipy.linalg is slow to load
+
     f = model.pdf(cutlines)
     right = f * (cutlines - updated[:-1]) / mass[:-1]  # dT_i/dt_i
     left = f * (updated[1:] - cutlines) / mass[1:]  # dT_{i+1}/dt_i

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .anomaly import DetectionEvent, DetectorConfig, block_means, run_detector
+from .anomaly import DetectionEvent, DetectorConfig, block_means, run_detector, window_scores
 from .codec import EncoderSpec, EncodingMethod, NormalizationMode, encoder_space, fit
 from .discretize import Codebook, quantize
 from .errors import (
@@ -761,8 +761,6 @@ def roc_from_events(events, labels, window: int, block: int = 1) -> RocCurve:
     ``-log10``), so sweeping the score threshold is exactly sweeping the
     significance level alpha for the stored-component set each window saw.
     """
-    from .anomaly import window_scores
-
     scores = window_scores(events)
     truth = window_labels(labels, window, [ev.index for ev in events], block=block)
     return roc_curve(scores, truth)

@@ -266,16 +266,58 @@ def test_console_entry_point():
         _assert_help(subprocess.run([installed, "--help"], capture_output=True, text=True))
 
 
-def test_import_skips_the_slow_scipy_subpackages():
-    # Every CLI call pays for ``import saxkit``; scipy.signal, scipy.optimize
-    # and scipy.stats take most of a second to load and the package needs
-    # none of them up front.
+def test_import_skips_the_slow_scipy_subpackages(tmp_path, corpus_csv, labeled_csv):
+    # Every CLI call pays for ``import saxkit``, so scipy loads on first use
+    # only: the package and the distribution-free commands load none of it,
+    # and no command loads scipy.signal, scipy.optimize or scipy.stats, which
+    # take most of a second.  Which scipy subpackage pulls in which other one
+    # varies between scipy releases, so only these two bounds are pinned.
     package_root = str(Path(saxkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    probe = "import sys, saxkit; print(' '.join(sorted(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    fit = ("fit", "--input", corpus_csv, "--segments", 8, "--kappa", 6, "--method")
+    scipy_free = [
+        ("gen", "--kind", "bimodal_mixture", "--length", 500, "--out", tmp_path / "gen.csv"),
+        (*fit, "asax", "--out", tmp_path / "asax.json"),
+        (*fit, "csax", "--out", tmp_path / "csax.json"),
+        ("encode", "--encoder", tmp_path / "csax.json", "--input", corpus_csv, "--out", tmp_path / "seq.json"),
+        ("info-loss", "--input", corpus_csv, "--normalize", "--out", tmp_path / "loss.csv"),
+    ]
+    detector = ("--input", labeled_csv, "--window", 30)
+    scipy_users = [
+        (*fit, "sax", "--out", tmp_path / "sax.json"),
+        (*fit, "psax", "--out", tmp_path / "psax.json"),
+        ("detect", *detector, "--out", tmp_path / "events.csv"),
+        ("roc", *detector, "--detector", "psax", "--out", tmp_path / "roc.csv"),
+        (
+            "tlb-rmse", "--input", corpus_csv, "--lengths", 16, "--bytes", 2, "--kappas", 16,
+            "--trials", 2, "--methods", "SAX,ASAX,PSAX,CSAX", "--out", tmp_path / "grid.csv",
+        ),
+    ]
+    # One interpreter runs every command in turn and lists its modules after
+    # each.  ``sys.modules`` only grows, so the first listing that breaks a
+    # bound names the command that loaded the module, as a fresh interpreter
+    # per command would; the scipy-free commands run first.
+    probe = (
+        "import json, sys\n"
+        "import saxkit\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "import saxkit.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert saxkit.cli.main(argv) == 0, argv\n"
+        "    print(json.dumps(sorted(sys.modules)))\n"
+    )
+    steps = [("import saxkit",), ("import saxkit.cli",), *scipy_free, *scipy_users]
+    commands = [[str(a) for a in argv] for argv in scipy_free + scipy_users]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)], capture_output=True, text=True, env=env
+    )
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
-    assert "saxkit.harness" in loaded
-    assert not {"scipy.signal", "scipy.optimize", "scipy.stats"} & loaded
+    listings = [set(json.loads(line)) for line in done.stdout.splitlines()]
+    assert len(listings) == len(steps)
+    assert "saxkit.harness" in listings[0]
+    for i, (step, loaded) in enumerate(zip(steps, listings)):
+        assert not {"scipy.signal", "scipy.optimize", "scipy.stats"} & loaded, step
+        if i < 2 + len(scipy_free):
+            assert not {m for m in loaded if m.split(".")[0] == "scipy"}, step
