@@ -26,6 +26,7 @@ from saxkit.errors import (
     NoPositivesError,
     OutOfRangeError,
     ParseError,
+    SaxkitError,
     TooShortError,
     ZeroDistanceError,
 )
@@ -75,61 +76,93 @@ def naive_frames(corpus, length, segments):
     return np.asarray(rows), np.asarray(ok)
 
 
+def raised(reader, path, text):
+    """The type and ``.line`` of the error ``reader`` raises on a file holding ``text``."""
+    path.write_bytes(text.encode())
+    with pytest.raises(SaxkitError) as info:
+        reader(path)
+    return type(info.value), getattr(info.value, "line", None)
+
+
+def parse_errors(cases: dict) -> dict:
+    return {text: (ParseError, line) for text, line in cases.items()}
+
+
 class TestLoaders:
     def test_headerless_series(self, tmp_path):
+        # blank and whitespace-only lines are skipped, whatever the line ends
         p = tmp_path / "s.csv"
-        p.write_text("1\n2\n3\n")
-        np.testing.assert_array_equal(load_series_csv(p).values, [1.0, 2.0, 3.0])
+        for text in ("1\n2\n3\n", "\n1\n  \n2\n\t\n3", "1\r\n2\r\n \r\n3\r\n"):
+            p.write_bytes(text.encode())
+            np.testing.assert_array_equal(load_series_csv(p).values, [1.0, 2.0, 3.0])
 
     def test_series_header_is_skipped(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("value\n1.5\n-2.5\n")
         np.testing.assert_array_equal(load_series_csv(p).values, [1.5, -2.5])
+        p.write_text(" \n value \n 1_000 \n")
+        np.testing.assert_array_equal(load_series_csv(p).values, [1000.0])
 
     def test_bad_series_line_reports_its_number(self, tmp_path):
         p = tmp_path / "s.csv"
-        p.write_text("value\n1\nabc\n")
-        with pytest.raises(ParseError) as info:
-            load_series_csv(p)
-        assert info.value.line == 3
+        cases = {
+            "value\n1\nabc\n": 3,
+            "1\nabc\n": 2,
+            "\n1\n\n  \nabc\n2\n": 5,
+            "value\nheader\n1\n": 2,
+            "1\n2\n1,2\n": 3,
+        }
+        assert {text: raised(load_series_csv, p, text) for text in cases} == parse_errors(cases)
 
     def test_series_rejects_extra_columns(self, tmp_path):
+        # a first line of the wrong width is an error, not a header
         p = tmp_path / "s.csv"
-        p.write_text("1,2\n")
-        with pytest.raises(ParseError):
-            load_series_csv(p)
+        cases = {"1,2\n": 1, "a,b\n1\n": 1, "\n\nvalue,label\n1\n": 3}
+        assert {text: raised(load_series_csv, p, text) for text in cases} == parse_errors(cases)
 
     def test_empty_series_file(self, tmp_path):
         p = tmp_path / "s.csv"
-        p.write_text("value\n")
-        with pytest.raises(EmptyFileError):
-            load_series_csv(p)
-        p.write_text("")
-        with pytest.raises(EmptyFileError):
-            load_series_csv(p)
+        for text in ("value\n", "", "\n \n", " value \n\n"):
+            assert raised(load_series_csv, p, text) == (EmptyFileError, None)
 
     def test_labeled_rows(self, tmp_path):
         p = tmp_path / "l.csv"
-        p.write_text("value,label\n1,0\n5,1\n")
-        stream = load_labeled_csv(p)
-        np.testing.assert_array_equal(stream.values, [1.0, 5.0])
-        np.testing.assert_array_equal(stream.labels, [0, 1])
-        assert stream.name == "l"
+        for text in ("value,label\n1,0\n5,1\n", "\t\nvalue,label\n  \n1,0\n\n 5 , 1 \n"):
+            p.write_text(text)
+            stream = load_labeled_csv(p)
+            np.testing.assert_array_equal(stream.values, [1.0, 5.0])
+            np.testing.assert_array_equal(stream.labels, [0, 1])
+            assert stream.name == "l"
 
     def test_labeled_rejects_bad_labels(self, tmp_path):
         p = tmp_path / "l.csv"
-        p.write_text("1,2\n")
-        with pytest.raises(ParseError):
-            load_labeled_csv(p)
-        p.write_text("1\n")
-        with pytest.raises(ParseError):
-            load_labeled_csv(p)
+        cases = {
+            "1,2\n": 1,
+            "1\n": 1,
+            "value\n1,0\n": 1,
+            "\nvalue,label,extra\n1,0\n": 2,
+            "value,label\n1,0\n1,1.0\n": 3,
+            "1,0\n\n1,2\n": 3,
+            "1,0\n1,-1\n2,x\n": 2,
+            "value,label\n1,0\nx,1\n": 3,
+            "value,label\n1,0\n1,0,0\n": 3,
+            "value,label\n1,0\n1\n1,0,0\n": 3,
+        }
+        assert {text: raised(load_labeled_csv, p, text) for text in cases} == parse_errors(cases)
+
+    def test_header_only_labeled_file(self, tmp_path):
+        p = tmp_path / "l.csv"
+        for text in ("value,label\n", "value,label\n\n  \n", ""):
+            assert raised(load_labeled_csv, p, text) == (EmptyFileError, None)
 
     def test_labeled_stream_validation(self):
         with pytest.raises(InvalidParamsError):
             LabeledStream(np.zeros(3), np.zeros(2))
         with pytest.raises(InvalidParamsError):
             LabeledStream(np.zeros(2), np.array([0, 2]))
+
+
+EVENT_HEADER = "index,flag,min_statistic,threshold,components_count,rebuild_flag\n"
 
 
 class TestWriters:
@@ -148,6 +181,11 @@ class TestWriters:
         np.testing.assert_array_equal(back.values, stream.values)
         np.testing.assert_array_equal(back.labels, stream.labels)
 
+    def test_labeled_bytes(self, tmp_path):
+        p = tmp_path / "l.csv"
+        write_labeled_csv(p, LabeledStream([0.1, -2.0, 1e-300, 12345678.9], [0, 1, 1, 0]))
+        assert p.read_bytes() == b"value,label\n0.1,0\n-2.0,1\n1e-300,1\n12345678.9,0\n"
+
     def test_events_round_trip(self, tmp_path):
         p = tmp_path / "e.csv"
         events = [
@@ -159,9 +197,20 @@ class TestWriters:
 
     def test_events_header_checked(self, tmp_path):
         p = tmp_path / "e.csv"
-        p.write_text("wrong,header\n")
-        with pytest.raises(ParseError):
-            read_events_csv(p)
+        cases = {
+            "wrong,header\n": 1,
+            "index,flag,min_statistic,threshold,components,rebuild_flag\n49,1,inf,1.5,0,0\n": 1,
+            "49,1,inf,1.5,0,0\n": 1,
+            EVENT_HEADER + "49,1,inf,1.5,0,0\n50,1,inf,1.5\n": 3,
+            EVENT_HEADER + "49,1,inf,1.5,0,0\n\n50,yes,inf,1.5,0,0\n": 4,
+            EVENT_HEADER + "49,1,inf,1.5,0.5,0\n": 2,
+        }
+        assert {text: raised(read_events_csv, p, text) for text in cases} == parse_errors(cases)
+
+    def test_events_need_a_row(self, tmp_path):
+        p = tmp_path / "e.csv"
+        for text in (EVENT_HEADER, EVENT_HEADER + "\n \n", ""):
+            assert raised(read_events_csv, p, text) == (EmptyFileError, None)
 
     def test_records_round_trip(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -171,6 +220,11 @@ class TestWriters:
         ]
         write_records_csv(p, records)
         assert read_records_csv(p) == records
+
+    def test_records_reject_a_row_of_the_wrong_width(self, tmp_path):
+        p = tmp_path / "r.csv"
+        assert raised(read_records_csv, p, "\nlength,method\n480,SAX\n\n960\n") == (ParseError, 5)
+        assert raised(read_records_csv, p, "  \n") == (EmptyFileError, None)
 
     def test_records_need_a_header_source(self):
         with pytest.raises(EmptyFileError):
@@ -184,6 +238,14 @@ class TestWriters:
         assert [r["fpr"] for r in rows] == list(curve.fpr)
         assert rows[0]["threshold"] == math.inf
         assert all(r["auc"] == curve.auc for r in rows)
+        assert p.read_bytes() == (
+            b"threshold,fpr,tpr,auc\n"
+            b"inf,0.0,0.0,1.0\n"
+            b"0.9,0.0,1.0,1.0\n"
+            b"0.8,0.5,1.0,1.0\n"
+            b"0.1,1.0,1.0,1.0\n"
+            b"-inf,1.0,1.0,1.0\n"
+        )
 
     def test_writers_accept_file_objects(self):
         buf = io.StringIO()
@@ -204,6 +266,18 @@ class TestGenerators:
         rho = float(np.dot(centered[1:], centered[:-1]) / np.dot(centered, centered))
         assert abs(rho - 0.9) < 0.02
         assert abs(float(np.var(x)) - 1.0) < 0.05
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 0.9, -0.7, 0.999, 1e-300, -0.999999])
+    def test_ar1_is_the_first_order_filter(self, phi):
+        from scipy.signal import lfilter
+
+        for seed, length in ((0, 1), (1, 2), (2, 3), (3, 500), (4, 4099)):
+            shocks = np.random.default_rng(seed).standard_normal(length)
+            scale = math.sqrt(1.0 - phi * phi)
+            rest, _ = lfilter([1.0], [1.0, -phi], scale * shocks[1:], zi=[phi * shocks[0]])
+            expected = np.concatenate((shocks[:1], rest))
+            got = generate_synthetic("ar1", length, seed=seed, phi=phi).values
+            np.testing.assert_array_equal(got, expected)
 
     def test_ar1_rejects_nonstationary_coefficient(self):
         with pytest.raises(InvalidParamsError):
