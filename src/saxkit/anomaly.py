@@ -38,6 +38,7 @@ from .errors import (
     WindowLengthMismatchError,
 )
 from .meanshift import mean_shift_codebook
+from .series import _paa_rows
 
 # Cell terms one chunk of ``_rolling`` may compute: windows x occupied cells
 # x (stored components + the chunk's own windows).  It bounds the work a
@@ -342,7 +343,7 @@ def block_means(values, paa_ratio: float) -> tuple[np.ndarray, int]:
     if abs(1.0 / paa_ratio - block) > 1e-9:
         raise InvalidParamsError(f"PAA ratio must be 1/m for integer m, got {paa_ratio}")
     x = np.asarray(values, dtype=float).ravel()
-    return x[: x.size // block * block].reshape(-1, block).mean(axis=1), block
+    return _paa_rows(x[: x.size // block * block].reshape(-1, block), 1)[:, 0], block
 
 
 @dataclass

@@ -28,10 +28,11 @@ from .errors import InvalidParamsError, ParseError, SaxkitError
 from .harness import (
     ExperimentGrid,
     LabeledStream,
+    _open_write,
     event_record,
     generate_synthetic,
-    load_labeled_csv,
     load_series_csv,
+    load_stream_csv,
     pivot_records,
     roc_from_events,
     run_fixed_detector,
@@ -54,34 +55,10 @@ def _csv_ints(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _out_stream(path):
-    return sys.stdout if path is None else path
-
-
 def _write_text(path, text: str) -> None:
     """One line of text to the ``--out`` path, or to stdout."""
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _sniff_columns(path) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if text:
-                return len(text.split(","))
-    return 0
-
-
-def _load_stream(path):
-    """Values plus labels when the file has them; plain series otherwise."""
-    if _sniff_columns(path) >= 2:
-        stream = load_labeled_csv(path)
-        return stream.values, stream.labels
-    return load_series_csv(path).values, None
+    with _open_write(path) as fh:
+        fh.write(text + "\n")
 
 
 def _detector_config(args) -> DetectorConfig:
@@ -97,7 +74,8 @@ def _split_pretraining(values, labels, fraction: float):
 
 
 def _run_configured_detector(args):
-    values, labels = _load_stream(args.input)
+    data = load_stream_csv(args.input)
+    values, labels = data.values, getattr(data, "labels", None)
     config = _detector_config(args)
     if args.detector == "csax":
         pre, stream, labels = _split_pretraining(values, labels, args.pretrain_fraction)
@@ -120,9 +98,9 @@ def _cmd_gen(args) -> int:
             params[name] = value
     out = generate_synthetic(args.kind, args.length, seed=args.seed, **params)
     if isinstance(out, LabeledStream):
-        write_labeled_csv(_out_stream(args.out), out)
+        write_labeled_csv(args.out, out)
     else:
-        write_series_csv(_out_stream(args.out), out.values)
+        write_series_csv(args.out, out.values)
     return 0
 
 
@@ -162,7 +140,7 @@ def _cmd_tlb_rmse(args) -> int:
         if len(grid.kappas) != 1:
             raise InvalidParamsError("--pivot needs a single-kappa grid")
         records = pivot_records(records, f"{args.pivot}_mean", grid.kappas[0])
-        write_records_csv(_out_stream(args.out), records)
+        write_records_csv(args.out, records)
         return 0
     fields = [
         "length",
@@ -175,7 +153,7 @@ def _cmd_tlb_rmse(args) -> int:
         "tlb_mean",
         "rmse_mean",
     ]
-    write_records_csv(_out_stream(args.out), records, fields)
+    write_records_csv(args.out, records, fields)
     return 0
 
 
@@ -184,7 +162,7 @@ def _cmd_detect(args) -> int:
     if args.out is not None and str(args.out).endswith(".json"):
         _write_text(args.out, json.dumps([event_record(ev) for ev in events]))
     else:
-        write_events_csv(_out_stream(args.out), events)
+        write_events_csv(args.out, events)
     return 0
 
 
@@ -194,23 +172,19 @@ def _cmd_roc(args) -> int:
         raise ParseError("ROC needs a labeled input (value,label rows)")
     _, block = block_means((), args.paa_ratio)
     curve = roc_from_events(events, labels, config.window, block=block)
-    write_roc_csv(_out_stream(args.out), curve)
+    write_roc_csv(args.out, curve)
     print(f"auc={curve.auc!r}", file=sys.stderr)
     return 0
 
 
 def _cmd_info_loss(args) -> int:
-    series = load_series_csv(args.input)
-    values = series.values
+    values = load_series_csv(args.input).values
     if args.normalize:
         values = (values - values.mean()) / values.std()
     value = info_loss_to_std_gaussian(values, bits=args.bits)
     unit = "bits" if args.bits else "nats"
-    if args.out is None:
-        print(repr(value))
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"info_loss_{unit}\n{value!r}\n")
+    # stdout gets the bare value; a file gets a one-column CSV
+    _write_text(args.out, repr(value) if args.out is None else f"info_loss_{unit}\n{value!r}")
     return 0
 
 

@@ -342,14 +342,8 @@ def kde_cdf(model: DensityModel, a: float, b: float) -> float:
     """
     if not a <= b:
         raise OutOfRangeError(f"interval endpoints out of order: [{a}, {b}]")
-    n = model.samples.size
-    if model.kernel is KernelKind.EPANECHNIKOV:
-        ends = _epa_antiderivatives(model, np.array([a, b], dtype=float))[:, 0]
-        return float((ends[1] - ends[0]) / n)
-    h = model.bandwidth
-    x = model.samples
-    total = np.sum(_kernel_cdf((b - x) / h) - _kernel_cdf((a - x) / h))
-    return float(total / n)
+    mass, _, _ = kde_cell_moments(model, [a, b])
+    return float(mass[0])
 
 
 def kde_cell_moments(model: DensityModel, boundaries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,8 +8,10 @@ could run in any order, or in parallel, with identical results.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate, compress, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ __all__ = [
     "ExperimentGrid",
     "load_series_csv",
     "load_labeled_csv",
+    "load_stream_csv",
     "write_series_csv",
     "write_labeled_csv",
     "event_record",
@@ -128,8 +131,10 @@ class RocCurve:
 
 @contextmanager
 def _open_write(path):
-    """Accept a path or anything with a ``write`` method."""
-    if hasattr(path, "write"):
+    """Accept a path, anything with a ``write`` method, or None for stdout."""
+    if path is None:
+        yield sys.stdout
+    elif hasattr(path, "write"):
         yield path
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -137,99 +142,117 @@ def _open_write(path):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # flags as 0/1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
+def _write_rows(path, fields, rows) -> None:
+    """A header of ``fields``, then one line per row; floats in shortest round-trip form."""
+    with _open_write(path) as fh:
+        fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _data_lines(path):
-    """Yield (1-based line number, stripped text) for non-blank lines."""
+def _read_lines(path) -> tuple[list, list]:
+    """1-based line numbers and stripped text of the file's non-blank lines."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if text:
-                yield lineno, text
+        lines = list(map(str.strip, fh.read().split("\n")))
+    return list(compress(count(1), lines)), list(filter(None, lines))
+
+
+def _label(text: str) -> int:
+    label = int(text)
+    if label not in (0, 1):
+        # a ParseError, unlike a plain ValueError, never makes a line a header
+        raise ParseError(f"label must be 0 or 1, got {label}")
+    return label
+
+
+def _parse_row(text: str, kinds) -> list:
+    fields = text.split(",")
+    if len(fields) != len(kinds):
+        raise ParseError(f"expected {len(kinds)} column(s), got {len(fields)}")
+    return [kind(field) for kind, field in zip(kinds, fields)]
+
+
+def _numeric_columns(path, lines, kinds, header) -> list[list]:
+    """One list per column of ``lines``, parsed by the matching entry of ``kinds``.
+
+    With ``header`` None, a first line that does not parse is a header;
+    otherwise line 1, unless blank, must read ``header``.  A row of the wrong
+    width, or a field its kind rejects, raises ParseError naming its line.
+    """
+    numbers, rows = lines
+    if header is None and rows:
+        try:
+            _parse_row(rows[0], kinds)
+        except ParseError:  # the scan below reports it
+            pass
+        except ValueError:
+            numbers, rows = numbers[1:], rows[1:]
+    elif header is not None and numbers[:1] == [1]:
+        if rows[0] != header:
+            raise ParseError(f"{path}: unexpected header {rows[0]!r}", line=1)
+        numbers, rows = numbers[1:], rows[1:]
+    if not rows:
+        raise EmptyFileError(f"no data rows in {path}")
+    width = len(kinds)
+    flat = ",".join(rows).split(",")
+    try:
+        # one column: the field count alone shows a stray comma
+        if len(flat) != width * len(rows) or width > 1 and {width - 1} != set(
+            map(str.count, rows, repeat(","))
+        ):
+            raise ValueError("a row of the wrong width")
+        return [list(map(kind, flat[j::width])) for j, kind in enumerate(kinds)]
+    except ValueError:  # name the first bad line
+        for lineno, text in zip(numbers, rows):
+            try:
+                _parse_row(text, kinds)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
+        raise
+
+
+def _load(path, lines, labeled: bool):
+    columns = _numeric_columns(path, lines, (float, _label)[: 1 + labeled], None)
+    return LabeledStream(*columns, name=Path(path).stem) if labeled else TimeSeries(*columns)
 
 
 def load_series_csv(path) -> TimeSeries:
     """One value per line; a non-numeric first line is treated as a header."""
-    values = []
-    first = True
-    for lineno, text in _data_lines(path):
-        fields = text.split(",")
-        if len(fields) != 1:
-            raise ParseError(f"{path}:{lineno}: expected one column", line=lineno)
-        try:
-            values.append(float(fields[0]))
-        except ValueError:
-            if first:
-                first = False
-                continue
-            raise ParseError(
-                f"{path}:{lineno}: not a number: {fields[0]!r}", line=lineno
-            ) from None
-        first = False
-    if not values:
-        raise EmptyFileError(f"no data rows in {path}")
-    return TimeSeries(np.asarray(values))
+    return _load(path, _read_lines(path), False)
 
 
 def load_labeled_csv(path) -> LabeledStream:
     """Rows of ``value,label`` with label 0 or 1; header auto-detected."""
-    values, labels = [], []
-    first = True
-    for lineno, text in _data_lines(path):
-        fields = text.split(",")
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected two columns", line=lineno)
-        try:
-            value = float(fields[0])
-            label = int(fields[1])
-        except ValueError:
-            if first:
-                first = False
-                continue
-            raise ParseError(f"{path}:{lineno}: bad row: {text!r}", line=lineno) from None
-        if label not in (0, 1):
-            raise ParseError(
-                f"{path}:{lineno}: label must be 0 or 1, got {label}", line=lineno
-            )
-        values.append(value)
-        labels.append(label)
-        first = False
-    if not values:
-        raise EmptyFileError(f"no data rows in {path}")
-    return LabeledStream(np.asarray(values), np.asarray(labels), name=Path(path).stem)
+    return _load(path, _read_lines(path), True)
+
+
+def load_stream_csv(path):
+    """A LabeledStream when the first non-blank line has a comma, else a TimeSeries."""
+    lines = _read_lines(path)
+    return _load(path, lines, "," in "".join(lines[1][:1]))
 
 
 def write_series_csv(path, values, header: str = "value") -> None:
-    arr = np.asarray(values, dtype=float).ravel()
-    with _open_write(path) as fh:
-        fh.write(header + "\n")
-        for v in arr:
-            fh.write(repr(float(v)) + "\n")
+    _write_rows(path, (header,), zip(np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def write_labeled_csv(path, stream: LabeledStream) -> None:
-    with _open_write(path) as fh:
-        fh.write("value,label\n")
-        for v, l in zip(stream.values, stream.labels):
-            fh.write(f"{repr(float(v))},{int(l)}\n")
+    _write_rows(path, ("value", "label"), zip(stream.values.tolist(), stream.labels.tolist()))
 
 
 EVENT_FIELDS = (
@@ -260,31 +283,11 @@ def write_events_csv(path, events) -> None:
 
 
 def read_events_csv(path) -> list[DetectionEvent]:
-    events = []
-    for lineno, text in _data_lines(path):
-        if lineno == 1:
-            if text != ",".join(EVENT_FIELDS):
-                raise ParseError(f"{path}: unexpected header {text!r}", line=1)
-            continue
-        fields = text.split(",")
-        if len(fields) != len(EVENT_FIELDS):
-            raise ParseError(f"{path}:{lineno}: bad row", line=lineno)
-        try:
-            events.append(
-                DetectionEvent(
-                    index=int(fields[0]),
-                    anomalous=bool(int(fields[1])),
-                    min_statistic=float(fields[2]),
-                    threshold=float(fields[3]),
-                    components=int(fields[4]),
-                    rebuild=bool(int(fields[5])),
-                )
-            )
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad row: {text!r}", line=lineno) from None
-    if not events:
-        raise EmptyFileError(f"no events in {path}")
-    return events
+    kinds = (int, int, float, float, int, int)
+    index, flag, stat, thr, comps, rebuild = _numeric_columns(
+        path, _read_lines(path), kinds, ",".join(EVENT_FIELDS)
+    )
+    return list(map(DetectionEvent, index, map(bool, flag), stat, thr, comps, map(bool, rebuild)))
 
 
 def write_records_csv(path, records, fieldnames=None) -> None:
@@ -293,34 +296,27 @@ def write_records_csv(path, records, fieldnames=None) -> None:
         if not records:
             raise EmptyFileError("cannot infer a header from zero records")
         fieldnames = list(records[0].keys())
-    with _open_write(path) as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(rec[name]) for name in fieldnames) + "\n")
+    _write_rows(path, fieldnames, ([rec[name] for name in fieldnames] for rec in records))
 
 
 def read_records_csv(path) -> list[dict]:
-    header = None
+    numbers, rows = _read_lines(path)
+    if not rows:
+        raise EmptyFileError(f"no header in {path}")
+    header = rows[0].split(",")
     records = []
-    for lineno, text in _data_lines(path):
+    for lineno, text in zip(numbers[1:], rows[1:]):
         fields = text.split(",")
-        if header is None:
-            header = fields
-            continue
         if len(fields) != len(header):
             raise ParseError(f"{path}:{lineno}: bad row", line=lineno)
-        records.append({k: _parse_cell(v) for k, v in zip(header, fields)})
-    if header is None:
-        raise EmptyFileError(f"no header in {path}")
+        records.append(dict(zip(header, map(_parse_cell, fields))))
     return records
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
     """Plot-ready operating points; the AUC repeats on every row."""
-    with _open_write(path) as fh:
-        fh.write("threshold,fpr,tpr,auc\n")
-        for thr, (fp, tp) in zip(curve.thresholds, curve.points):
-            fh.write(f"{repr(float(thr))},{repr(float(fp))},{repr(float(tp))},{repr(curve.auc)}\n")
+    rows = zip(curve.thresholds, curve.fpr, curve.tpr, repeat(curve.auc))
+    _write_rows(path, ("threshold", "fpr", "tpr", "auc"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +324,12 @@ def write_roc_csv(path, curve: RocCurve) -> None:
 
 
 def _gen_ar1(length: int, rng, phi: float) -> np.ndarray:
-    from scipy.signal import lfilter  # imported here: scipy.signal is slow to load
-
     if not abs(phi) < 1.0:
         raise InvalidParamsError(f"AR(1) coefficient must satisfy |phi| < 1, got {phi}")
     shocks = rng.standard_normal(length)
-    x0 = shocks[0]
-    if length == 1:
-        return shocks
     scale = math.sqrt(1.0 - phi * phi)
-    rest, _ = lfilter([1.0], [1.0, -phi], scale * shocks[1:], zi=np.array([phi * x0]))
-    return np.concatenate(([x0], rest))
+    steps = accumulate((scale * shocks[1:]).tolist(), lambda y, e: phi * y + e, initial=shocks[0])
+    return np.fromiter(steps, dtype=float, count=length)
 
 
 def _gen_bimodal(length, rng, mu1, mu2, weight, sigma):

@@ -196,6 +196,25 @@ class TestInfoLoss:
         assert run("info-loss", "--input", path) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--kind", "level_shift_anomalies", "--length", 300, "--segment", 20),
+        ("fit", "--input", "{corpus}", "--method", "asax", "--segments", 8),
+        ("detect", "--input", "{labeled}", "--window", 30),
+        ("roc", "--input", "{labeled}", "--detector", "sax", "--window", 30),
+        ("tlb-rmse", "--input", "{corpus}", "--lengths", 16, "--bytes", 2, "--kappas", 16, "--trials", 2),
+    ],
+)
+def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, corpus_csv, labeled_csv, capsys, argv):
+    argv = [str(a).format(corpus=corpus_csv, labeled=labeled_csv) for a in argv]
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 0
+    capsys.readouterr()
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 class TestConfigAndErrors:
     def test_config_prefills_options(self, tmp_path, corpus_csv):
         cfg = tmp_path / "cfg.json"
@@ -278,6 +297,7 @@ def test_import_skips_the_slow_scipy_subpackages(tmp_path, corpus_csv, labeled_c
     fit = ("fit", "--input", corpus_csv, "--segments", 8, "--kappa", 6, "--method")
     scipy_free = [
         ("gen", "--kind", "bimodal_mixture", "--length", 500, "--out", tmp_path / "gen.csv"),
+        ("gen", "--kind", "ar1", "--length", 500, "--out", tmp_path / "ar1.csv"),
         (*fit, "asax", "--out", tmp_path / "asax.json"),
         (*fit, "csax", "--out", tmp_path / "csax.json"),
         ("encode", "--encoder", tmp_path / "csax.json", "--input", corpus_csv, "--out", tmp_path / "seq.json"),

@@ -39,6 +39,7 @@ from saxkit.harness import (
     generate_synthetic,
     load_labeled_csv,
     load_series_csv,
+    load_stream_csv,
     pivot_records,
     read_events_csv,
     read_records_csv,
@@ -155,6 +156,21 @@ class TestLoaders:
         for text in ("value,label\n", "value,label\n\n  \n", ""):
             assert raised(load_labeled_csv, p, text) == (EmptyFileError, None)
 
+    def test_stream_loader_reads_labels_when_the_first_line_has_two_columns(self, tmp_path):
+        p = tmp_path / "s.csv"
+        for text in ("value\n1\n2\n", "\n 1 \n", "\nvalue,label\n1,0\n2,1\n", "1,1\n"):
+            p.write_text(text)
+            loaded = load_stream_csv(p)
+            labeled = "," in text
+            expected = load_labeled_csv(p) if labeled else load_series_csv(p)
+            assert type(loaded) is type(expected)
+            np.testing.assert_array_equal(loaded.values, expected.values)
+            if labeled:
+                np.testing.assert_array_equal(loaded.labels, expected.labels)
+        assert raised(load_stream_csv, p, "") == (EmptyFileError, None)
+        assert raised(load_stream_csv, p, "\n1,0,1\n") == (ParseError, 2)
+        assert raised(load_stream_csv, p, "1\n1,0\n") == (ParseError, 2)
+
     def test_labeled_stream_validation(self):
         with pytest.raises(InvalidParamsError):
             LabeledStream(np.zeros(3), np.zeros(2))
@@ -247,10 +263,12 @@ class TestWriters:
             b"-inf,1.0,1.0,1.0\n"
         )
 
-    def test_writers_accept_file_objects(self):
+    def test_writers_accept_file_objects(self, capsys):
         buf = io.StringIO()
         write_series_csv(buf, [1.0, 2.0])
         assert buf.getvalue() == "value\n1.0\n2.0\n"
+        write_series_csv(None, [1.0, 2.0])
+        assert capsys.readouterr().out == buf.getvalue()
 
 
 class TestGenerators:
