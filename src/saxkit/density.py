@@ -338,10 +338,9 @@ def kde_cdf(model: DensityModel, a: float, b: float) -> float:
     """Probability mass the estimate assigns to ``[a, b]``.
 
     Accepts infinite endpoints.  The closed-form kernel antiderivatives keep
-    this exact (up to rounding), so the full line integrates to 1.
+    this exact (up to rounding), so the full line integrates to 1.  Endpoints
+    out of order, or NaN, raise OutOfRangeError.
     """
-    if not a <= b:
-        raise OutOfRangeError(f"interval endpoints out of order: [{a}, {b}]")
     mass, _, _ = kde_cell_moments(model, [a, b])
     return float(mass[0])
 

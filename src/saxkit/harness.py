@@ -180,11 +180,12 @@ def _label(text: str) -> int:
     return label
 
 
-def _parse_row(text: str, kinds) -> list:
+def _check_row(text: str, kinds) -> None:
     fields = text.split(",")
     if len(fields) != len(kinds):
         raise ParseError(f"expected {len(kinds)} column(s), got {len(fields)}")
-    return [kind(field) for kind, field in zip(kinds, fields)]
+    for kind, field in zip(kinds, fields):
+        kind(field)
 
 
 def _numeric_columns(path, lines, kinds, header) -> list[list]:
@@ -197,8 +198,8 @@ def _numeric_columns(path, lines, kinds, header) -> list[list]:
     numbers, rows = lines
     if header is None and rows:
         try:
-            _parse_row(rows[0], kinds)
-        except ParseError:  # the scan below reports it
+            _check_row(rows[0], kinds)
+        except ParseError:  # a wrong width or label is an error, not a header
             pass
         except ValueError:
             numbers, rows = numbers[1:], rows[1:]
@@ -211,23 +212,22 @@ def _numeric_columns(path, lines, kinds, header) -> list[list]:
     width = len(kinds)
     flat = ",".join(rows).split(",")
     try:
-        # one column: the field count alone shows a stray comma
-        if len(flat) != width * len(rows) or width > 1 and {width - 1} != set(
-            map(str.count, rows, repeat(","))
-        ):
+        # one column needs no comma anywhere; wider rows are counted one by one
+        commas = {len(flat) - len(rows)} if width == 1 else set(map(str.count, rows, repeat(",")))
+        if commas != {width - 1}:
             raise ValueError("a row of the wrong width")
         return [list(map(kind, flat[j::width])) for j, kind in enumerate(kinds)]
     except ValueError:  # name the first bad line
         for lineno, text in zip(numbers, rows):
             try:
-                _parse_row(text, kinds)
+                _check_row(text, kinds)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
         raise
 
 
 def _load(path, lines, labeled: bool):
-    columns = _numeric_columns(path, lines, (float, _label)[: 1 + labeled], None)
+    columns = _numeric_columns(path, lines, (float, _label) if labeled else (float,), None)
     return LabeledStream(*columns, name=Path(path).stem) if labeled else TimeSeries(*columns)
 
 
