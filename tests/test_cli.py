@@ -61,6 +61,26 @@ class TestGen:
         assert abs(float(np.mean(values < 0.0)) - 0.2) < 0.05
 
 
+    def test_a_parameter_of_another_kind_is_rejected(self, capsys):
+        assert run("gen", "--kind", "ar1", "--length", 100, "--rate", 0.1) == 2
+        assert "ar1 does not take ['rate']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, defaults",
+        [
+            ("gaussian_iid", ()),
+            ("ar1", ("--phi", 0.9)),
+            ("bimodal_mixture", ("--mu1", -2.0, "--mu2", 2.0, "--weight", 0.5, "--sigma", 0.5)),
+            ("level_shift_anomalies", ("--rate", 0.01, "--shift", 3.0, "--segment", 50)),
+        ],
+    )
+    def test_parameters_at_their_defaults_change_nothing(self, tmp_path, kind, defaults):
+        bare, full = tmp_path / "bare.csv", tmp_path / "full.csv"
+        assert run("gen", "--kind", kind, "--length", 600, "--seed", 2, "--out", bare) == 0
+        assert run("gen", "--kind", kind, "--length", 600, "--seed", 2, *defaults, "--out", full) == 0
+        assert full.read_bytes() == bare.read_bytes()
+
+
 class TestFitEncode:
     def test_fit_then_encode_matches_the_library(self, tmp_path, corpus_csv):
         enc_path = tmp_path / "encoder.json"
@@ -111,6 +131,15 @@ class TestTlbRmse:
         assert code == 0
         rows = read_records_csv(out)
         assert set(rows[0]) == {"length", "SAX_2B", "PSAX_2B"}
+
+    def test_zero_trials_writes_the_header_only(self, tmp_path, corpus_csv):
+        out = tmp_path / "grid.csv"
+        code = run(
+            "tlb-rmse", "--input", corpus_csv,
+            "--lengths", "16", "--bytes", "2", "--kappas", "16", "--trials", 0, "--out", out,
+        )
+        assert code == 0
+        assert out.read_text() == "length,bytes,kappa,segments,method,alphabet,trials,tlb_mean,rmse_mean\n"
 
     def test_pivot_needs_one_kappa(self, corpus_csv):
         code = run(

@@ -341,6 +341,12 @@ class TestGenerators:
         with pytest.raises(InvalidParamsError):
             generate_synthetic("level_shift_anomalies", 100, segment=200)
 
+    def test_integral_float_segment_is_the_int_segment(self):
+        a = generate_synthetic("level_shift_anomalies", 2000, seed=4, segment=30.0)
+        b = generate_synthetic("level_shift_anomalies", 2000, seed=4, segment=30)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.labels, b.labels)
+
 
 class TestGrid:
     def test_reference_grids_are_feasible(self):
