@@ -26,6 +26,9 @@ from .codec import (
 )
 from .errors import InvalidParamsError, ParseError, SaxkitError
 from .harness import (
+    GENERATOR_PARAMS,
+    METHOD_ORDER,
+    RECORD_FIELDS,
     ExperimentGrid,
     LabeledStream,
     _open_write,
@@ -61,10 +64,6 @@ def _write_text(path, text: str) -> None:
         fh.write(text + "\n")
 
 
-def _detector_config(args) -> DetectorConfig:
-    return DetectorConfig(window=args.window, alpha=args.alpha, kappa=args.kappa)
-
-
 def _split_pretraining(values, labels, fraction: float):
     if not 0.0 <= fraction < 1.0:
         raise InvalidParamsError(f"pretrain fraction must be in [0, 1), got {fraction}")
@@ -76,26 +75,23 @@ def _split_pretraining(values, labels, fraction: float):
 def _run_configured_detector(args):
     data = load_stream_csv(args.input)
     values, labels = data.values, getattr(data, "labels", None)
-    config = _detector_config(args)
+    config = DetectorConfig(window=args.window, alpha=args.alpha, kappa=args.kappa)
     if args.detector == "csax":
         pre, stream, labels = _split_pretraining(values, labels, args.pretrain_fraction)
         result = run_csax_detector(stream, config, pretraining=pre, paa_ratio=args.paa_ratio)
         return result.events, labels, config
     if args.pretrain_fraction:
         raise InvalidParamsError("pretraining only applies to the adaptive detector")
-    method = EncodingMethod(args.detector.upper())
     events, _ = run_fixed_detector(
-        values, method, config, seed=args.seed, paa_ratio=args.paa_ratio
+        values, args.detector.upper(), config, seed=args.seed, paa_ratio=args.paa_ratio
     )
     return events, labels, config
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for name in ("phi", "mu1", "mu2", "weight", "sigma", "rate", "segment", "shift"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    # every parameter given, of any kind, so that another kind's is an error
+    given = {name: getattr(args, name) for params in GENERATOR_PARAMS.values() for name in params}
+    params = {name: value for name, value in given.items() if value is not None}
     out = generate_synthetic(args.kind, args.length, seed=args.seed, **params)
     if isinstance(out, LabeledStream):
         write_labeled_csv(args.out, out)
@@ -106,12 +102,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fit(args) -> int:
     pool = load_series_csv(args.input)
-    normalization = None if args.normalization is None else NormalizationMode(args.normalization)
     spec = EncoderSpec(
-        EncodingMethod(args.method.upper()),
+        args.method.upper(),
         segments=args.segments,
         kappa=args.kappa,
-        normalization=normalization,
+        normalization=args.normalization,
         seed=args.seed,
     )
     _write_text(args.out, encoder_to_json(fit(spec, [pool])))
@@ -134,7 +129,7 @@ def _cmd_tlb_rmse(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    methods = tuple(EncodingMethod(m.strip().upper()) for m in args.methods.split(","))
+    methods = [m.strip().upper() for m in args.methods.split(",")]
     records = run_tlb_rmse_experiment(corpus, grid, methods)
     if args.pivot is not None:
         if len(grid.kappas) != 1:
@@ -142,18 +137,7 @@ def _cmd_tlb_rmse(args) -> int:
         records = pivot_records(records, f"{args.pivot}_mean", grid.kappas[0])
         write_records_csv(args.out, records)
         return 0
-    fields = [
-        "length",
-        "bytes",
-        "kappa",
-        "segments",
-        "method",
-        "alphabet",
-        "trials",
-        "tlb_mean",
-        "rmse_mean",
-    ]
-    write_records_csv(args.out, records, fields)
+    write_records_csv(args.out, records, RECORD_FIELDS)
     return 0
 
 
@@ -182,22 +166,27 @@ def _cmd_info_loss(args) -> int:
     if args.normalize:
         values = (values - values.mean()) / values.std()
     value = info_loss_to_std_gaussian(values, bits=args.bits)
-    unit = "bits" if args.bits else "nats"
-    # stdout gets the bare value; a file gets a one-column CSV
-    _write_text(args.out, repr(value) if args.out is None else f"info_loss_{unit}\n{value!r}")
+    write_series_csv(args.out, [value], "info_loss_bits" if args.bits else "info_loss_nats")
     return 0
+
+
+_METHODS = [m.value.lower() for m in METHOD_ORDER]
 
 
 def _add_detector_options(sub):
     sub.add_argument(
         "--detector",
-        choices=["sax", "asax", "psax", "csax"],
+        choices=_METHODS,
         default="csax",
         help="fixed-codebook variants or the adaptive detector",
     )
-    sub.add_argument("--window", type=int, default=50, help="rolling window length in symbols")
-    sub.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    sub.add_argument("--kappa", type=int, default=10, help="alphabet size (fixed detectors)")
+    sub.add_argument(
+        "--window", type=int, default=DetectorConfig.window, help="rolling window length in symbols"
+    )
+    sub.add_argument("--alpha", type=float, default=DetectorConfig.alpha, help="significance level")
+    sub.add_argument(
+        "--kappa", type=int, default=DetectorConfig.kappa, help="alphabet size (fixed detectors)"
+    )
     sub.add_argument(
         "--paa-ratio",
         type=float,
@@ -224,22 +213,18 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", parents=[common], help="write a synthetic stream as CSV")
-    gen.add_argument(
-        "--kind",
-        required=True,
-        choices=["gaussian_iid", "ar1", "bimodal_mixture", "level_shift_anomalies"],
-    )
+    gen.add_argument("--kind", required=True, choices=list(GENERATOR_PARAMS))
     gen.add_argument("--length", type=int, required=True)
-    for name in ("phi", "mu1", "mu2", "weight", "sigma", "rate", "shift"):
-        gen.add_argument(f"--{name}", type=float, default=None)
-    gen.add_argument("--segment", type=int, default=None)
+    for kind, params in GENERATOR_PARAMS.items():
+        for name, default in params.items():
+            gen.add_argument(f"--{name}", type=type(default), help=f"{kind} (default {default})")
     gen.set_defaults(func=_cmd_gen)
 
     fit_p = subs.add_parser("fit", parents=[common], help="fit an encoder on a sample pool")
     fit_p.add_argument("--input", required=True, help="CSV of training values, one per line")
-    fit_p.add_argument("--method", required=True, choices=["sax", "asax", "psax", "csax"])
+    fit_p.add_argument("--method", required=True, choices=_METHODS)
     fit_p.add_argument("--segments", type=int, required=True)
-    fit_p.add_argument("--kappa", type=int, default=10)
+    fit_p.add_argument("--kappa", type=int, default=EncoderSpec.kappa)
     fit_p.add_argument(
         "--normalization",
         default=None,
@@ -257,9 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--input", required=True, help="corpus CSV")
     grid.add_argument("--lengths", type=_csv_ints, default=(480,))
     grid.add_argument("--bytes", type=_csv_ints, default=(16,))
-    grid.add_argument("--kappas", type=_csv_ints, default=(16, 256))
-    grid.add_argument("--trials", type=int, default=100)
-    grid.add_argument("--methods", default="SAX,ASAX,PSAX")
+    grid.add_argument("--kappas", type=_csv_ints, default=ExperimentGrid.kappas)
+    grid.add_argument("--trials", type=int, default=ExperimentGrid.trials)
+    fixed = [m.value for m in METHOD_ORDER if m is not EncodingMethod.CSAX]
+    grid.add_argument("--methods", default=",".join(fixed))
     grid.add_argument(
         "--pivot",
         choices=["tlb", "rmse"],

@@ -176,7 +176,8 @@ def _epa_antiderivatives(model: DensityModel, edges: np.ndarray) -> np.ndarray:
     bandwidth units ``s = (edge - mean) / h`` and ``t_i = (x_i - mean) / h``.
     """
     sums = model._epa
-    s = (edges - sums.mean) / model.bandwidth
+    with np.errstate(over="ignore"):  # an edge past the float range here is infinite
+        s = (edges - sums.mean) / model.bandwidth
     left, parts = _epa_windows(sums, s)
     out = sums.whole[left]
     for u, w, centre in parts:
@@ -190,7 +191,8 @@ def _epa_antiderivatives(model: DensityModel, edges: np.ndarray) -> np.ndarray:
 
 def _epa_pdf(model: DensityModel, points: np.ndarray) -> np.ndarray:
     sums = model._epa
-    s = (points - sums.mean) / model.bandwidth
+    with np.errstate(over="ignore"):  # a point past the float range here is infinite
+        s = (points - sums.mean) / model.bandwidth
     _, parts = _epa_windows(sums, s)
     total = np.zeros(points.size)
     for u, w, _ in parts:
@@ -266,17 +268,21 @@ def _gauss_sums(samples: np.ndarray, h: float, points: np.ndarray) -> np.ndarray
     ``a``, the least ``u**2``: ``w = exp(-(u**2 - a) / 2)`` cannot underflow
     at the nearest sample.  The KDE is ``s0 * exp(-a / 2) / (n h sqrt(2 pi))``,
     its slope has the sign of ``s1``, its curvature that of ``s2 - s0``, and
-    the mean-shift step is ``h * s1 / s0``.
+    the mean-shift step is ``h * s1 / s0``.  Past about 1.3e154 bandwidths
+    from every sample ``a`` is infinite and every ``w`` is 1: the KDE is 0
+    and the step leads to the samples' mean.
     """
     out = np.empty((4, points.size))
     block = max(1, (1 << 22) // samples.size)  # 4M sample-point pairs a block
     for start in range(0, points.size, block):
         rows = slice(start, start + block)
-        u = (samples[None, :] - points[rows, None]) / h
-        z = u * u
-        a = z.min(axis=1)
-        w = np.exp(-0.5 * (z - a[:, None]))
-        out[:, rows] = w.sum(axis=1), (w * u).sum(axis=1), (w * z).sum(axis=1), a
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (samples[None, :] - points[rows, None]) / h
+            z = u * u
+            a = z.min(axis=1)
+            w = np.exp(-0.5 * (z - a[:, None]))
+            w[np.isinf(a)] = 1.0  # where z - a was inf - inf
+            out[:, rows] = w.sum(axis=1), (w * u).sum(axis=1), (w * z).sum(axis=1), a
     return out
 
 
@@ -372,10 +378,11 @@ def kde_cell_moments(model: DensityModel, boundaries) -> tuple[np.ndarray, np.nd
         c = model._epa.mean
         mass, d1, d2 = np.diff(_epa_antiderivatives(model, edges), axis=0).T / n
         return mass, c * mass + h * d1, c * (c * mass + 2.0 * h * d1) + h * h * d2
-    u = (edges[None, :] - x[:, None]) / h
-    dF = np.diff(_kernel_cdf(u), axis=1)
-    dM1 = np.diff(_kernel_moment1(u), axis=1)
-    dM2 = np.diff(_kernel_moment2(u), axis=1)
+    with np.errstate(over="ignore"):  # an edge past the float range in bandwidths is infinite
+        u = (edges[None, :] - x[:, None]) / h
+        dF = np.diff(_kernel_cdf(u), axis=1)
+        dM1 = np.diff(_kernel_moment1(u), axis=1)
+        dM2 = np.diff(_kernel_moment2(u), axis=1)
     mass = dF.sum(axis=0) / n
     first = (x[:, None] * dF + h * dM1).sum(axis=0) / n
     second = (x[:, None] ** 2 * dF + 2.0 * h * x[:, None] * dM1 + h * h * dM2).sum(axis=0) / n

@@ -61,12 +61,7 @@ __all__ = [
     "run_fixed_detector",
 ]
 
-METHOD_ORDER = (
-    EncodingMethod.SAX,
-    EncodingMethod.ASAX,
-    EncodingMethod.PSAX,
-    EncodingMethod.CSAX,
-)
+METHOD_ORDER = tuple(EncodingMethod)
 
 
 @dataclass(frozen=True)
@@ -192,8 +187,8 @@ def _numeric_columns(path, lines, kinds, header) -> list[list]:
     """One list per column of ``lines``, parsed by the matching entry of ``kinds``.
 
     With ``header`` None, a first line that does not parse is a header;
-    otherwise line 1, unless blank, must read ``header``.  A row of the wrong
-    width, or a field its kind rejects, raises ParseError naming its line.
+    otherwise the first non-blank line must read ``header``.  A row of the
+    wrong width, or a field its kind rejects, raises ParseError naming its line.
     """
     numbers, rows = lines
     if header is None and rows:
@@ -203,9 +198,9 @@ def _numeric_columns(path, lines, kinds, header) -> list[list]:
             pass
         except ValueError:
             numbers, rows = numbers[1:], rows[1:]
-    elif header is not None and numbers[:1] == [1]:
+    elif header is not None and rows:
         if rows[0] != header:
-            raise ParseError(f"{path}: unexpected header {rows[0]!r}", line=1)
+            raise ParseError(f"{path}: unexpected header {rows[0]!r}", line=numbers[0])
         numbers, rows = numbers[1:], rows[1:]
     if not rows:
         raise EmptyFileError(f"no data rows in {path}")
@@ -262,6 +257,12 @@ EVENT_FIELDS = (
     "threshold",
     "components_count",
     "rebuild_flag",
+)
+
+
+# The columns of a tlb-rmse record, in order.
+RECORD_FIELDS = (
+    "length", "bytes", "kappa", "segments", "method", "alphabet", "trials", "tlb_mean", "rmse_mean"
 )
 
 
@@ -347,7 +348,6 @@ def _gen_bimodal(length, rng, mu1, mu2, weight, sigma):
 def _gen_level_shift(length, rng, rate, segment, shift):
     if not 0.0 < rate < 1.0:
         raise InvalidParamsError(f"anomaly rate must be in (0, 1), got {rate}")
-    segment = int(segment)
     if not 1 <= segment <= length:
         raise InvalidParamsError(f"segment length {segment} incompatible with {length}")
     if not np.isfinite(shift):
@@ -372,56 +372,39 @@ def _gen_level_shift(length, rng, rate, segment, shift):
     return values, labels
 
 
+# Each generator kind's parameters and their defaults; a passed value is
+# converted by its default's type.  ``weight`` is the mass of the ``mu1``
+# component; ``rate`` is the target labeled fraction, placed as
+# ``max(1, round(rate * length / segment))`` disjoint shifted segments.
+GENERATOR_PARAMS = {
+    "gaussian_iid": {},
+    "ar1": {"phi": 0.9},
+    "bimodal_mixture": {"mu1": -2.0, "mu2": 2.0, "weight": 0.5, "sigma": 0.5},
+    "level_shift_anomalies": {"rate": 0.01, "shift": 3.0, "segment": 50},
+}
+
+
 def generate_synthetic(kind: str, length: int, seed: int = 0, **params):
     """Reproducible synthetic streams; returns a labeled stream for the
     anomaly kind and a plain series otherwise.
 
-    Kinds and their parameters:
-      - ``gaussian_iid``
-      - ``ar1``: ``phi`` (default 0.9)
-      - ``bimodal_mixture``: ``mu1`` (-2), ``mu2`` (2), ``weight`` (0.5,
-        mass of the ``mu1`` component), ``sigma`` (0.5)
-      - ``level_shift_anomalies``: ``rate`` (0.01, target labeled fraction),
-        ``segment`` (50), ``shift`` (3.0); places
-        ``max(1, round(rate * length / segment))`` disjoint shifted segments
+    The kinds, their parameters and defaults are ``GENERATOR_PARAMS``.
     """
     if length < 1:
         raise InvalidParamsError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
-    allowed = {
-        "gaussian_iid": (),
-        "ar1": ("phi",),
-        "bimodal_mixture": ("mu1", "mu2", "weight", "sigma"),
-        "level_shift_anomalies": ("rate", "segment", "shift"),
-    }
-    if kind not in allowed:
+    if kind not in GENERATOR_PARAMS:
         raise InvalidParamsError(f"unknown generator kind: {kind!r}")
-    extra = set(params) - set(allowed[kind])
+    defaults = GENERATOR_PARAMS[kind]
+    extra = set(params) - set(defaults)
     if extra:
         raise InvalidParamsError(f"{kind} does not take {sorted(extra)}")
+    args = {name: type(value)(params.get(name, value)) for name, value in defaults.items()}
+    if kind == "level_shift_anomalies":
+        return LabeledStream(*_gen_level_shift(length, rng, **args), name=kind)
     if kind == "gaussian_iid":
         return TimeSeries(rng.standard_normal(length))
-    if kind == "ar1":
-        return TimeSeries(_gen_ar1(length, rng, float(params.get("phi", 0.9))))
-    if kind == "bimodal_mixture":
-        return TimeSeries(
-            _gen_bimodal(
-                length,
-                rng,
-                float(params.get("mu1", -2.0)),
-                float(params.get("mu2", 2.0)),
-                float(params.get("weight", 0.5)),
-                float(params.get("sigma", 0.5)),
-            )
-        )
-    values, labels = _gen_level_shift(
-        length,
-        rng,
-        float(params.get("rate", 0.01)),
-        params.get("segment", 50),
-        float(params.get("shift", 3.0)),
-    )
-    return LabeledStream(values, labels, name=kind)
+    return TimeSeries((_gen_ar1 if kind == "ar1" else _gen_bimodal)(length, rng, **args))
 
 
 # ---------------------------------------------------------------------------
@@ -656,19 +639,9 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
             errs = _dist_error(full, quantize(enc.codebook, reduced), enc.codebook.centroids) * scale
             # running sums in trial order, so the means equal one-pair scoring's
             tlb_sum, err_sum = np.cumsum(tlbs)[-1], np.cumsum(errs)[-1]
-            records.append(
-                {
-                    "length": n,
-                    "bytes": budget,
-                    "kappa": kappa,
-                    "segments": segments,
-                    "method": method.value,
-                    "alphabet": enc.codebook.kappa,
-                    "trials": grid.trials,
-                    "tlb_mean": float(tlb_sum) / grid.trials,
-                    "rmse_mean": float(err_sum) / grid.trials,
-                }
-            )
+            row = (n, budget, kappa, segments, method.value, enc.codebook.kappa, grid.trials)
+            means = (float(tlb_sum) / grid.trials, float(err_sum) / grid.trials)
+            records.append(dict(zip(RECORD_FIELDS, row + means)))
     return records
 
 

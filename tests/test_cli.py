@@ -207,8 +207,9 @@ class TestInfoLoss:
         path = tmp_path / "g.csv"
         assert run("gen", "--kind", "gaussian_iid", "--length", 5000, "--out", path) == 0
         assert run("info-loss", "--input", path, "--normalize") == 0
-        value = float(capsys.readouterr().out)
-        assert abs(value) < 0.1
+        header, value = capsys.readouterr().out.splitlines()
+        assert header == "info_loss_nats"
+        assert abs(float(value)) < 0.1
 
     def test_bits_flag_and_file_output(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -233,10 +234,19 @@ class TestInfoLoss:
         ("detect", "--input", "{labeled}", "--window", 30),
         ("roc", "--input", "{labeled}", "--detector", "sax", "--window", 30),
         ("tlb-rmse", "--input", "{corpus}", "--lengths", 16, "--bytes", 2, "--kappas", 16, "--trials", 2),
+        ("gen", "--kind", "gaussian_iid", "--length", 300),
+        ("gen", "--kind", "ar1", "--length", 300, "--phi", 0.5),
+        ("gen", "--kind", "bimodal_mixture", "--length", 300, "--sigma", 0.3),
+        ("encode", "--encoder", "{encoder}", "--input", "{corpus}"),
+        ("info-loss", "--input", "{corpus}", "--normalize"),
     ],
 )
 def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, corpus_csv, labeled_csv, capsys, argv):
-    argv = [str(a).format(corpus=corpus_csv, labeled=labeled_csv) for a in argv]
+    encoder = tmp_path / "encoder.json"
+    if "{encoder}" in argv:
+        assert run("fit", "--input", corpus_csv, "--method", "asax", "--segments", 8, "--out", encoder) == 0
+    names = {"corpus": corpus_csv, "labeled": labeled_csv, "encoder": encoder}
+    argv = [str(a).format(**names) for a in argv]
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 0
     capsys.readouterr()

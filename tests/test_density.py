@@ -176,6 +176,14 @@ class TestDensityModel:
             assert out[i] == pytest.approx(naive_pdf(samples, GAU, 0.25, xs[i]), abs=1e-12)
 
     @pytest.mark.parametrize("kind", [EPA, GAU])
+    def test_far_finite_points_have_zero_density(self, kind):
+        # past about 1.3e154 bandwidths u * u overflows; no NaN, no warning
+        far = [1e150, 1e155, 1e200, -1e200, 1e308, -1e308]
+        for h in (1.0, 0.5):
+            pdf = DensityModel(np.array([0.0, 1.0]), kind, h).pdf(far)
+            np.testing.assert_array_equal(pdf, np.zeros(len(far)))
+
+    @pytest.mark.parametrize("kind", [EPA, GAU])
     def test_total_mass_one(self, kind):
         rng = np.random.default_rng(3)
         model = DensityModel(rng.normal(2.0, 1.5, 40), kind, 0.7)
@@ -240,6 +248,16 @@ class TestKdeCellMoments:
         # smoothing preserves the mean and adds h^2 (unit-variance kernels)
         assert first.sum() == pytest.approx(samples.mean(), abs=1e-10)
         assert second.sum() == pytest.approx(np.mean(samples**2) + h * h, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", [EPA, GAU])
+    def test_far_finite_edges_give_the_infinite_edges_masses(self, kind):
+        for h in (1.0, 0.5):
+            model = DensityModel(np.array([0.0, 1.0]), kind, h)
+            far = kde_cell_moments(model, [-1e308, -1e200, 0.5, 1e200, 1e308])
+            inf = kde_cell_moments(model, [-np.inf, -np.inf, 0.5, np.inf, np.inf])
+            np.testing.assert_array_equal(far, inf)
+            assert kde_cdf(model, 1e308, np.inf) == 0.0
+            assert kde_cdf(model, -1e308, 1e308) == kde_cdf(model, -np.inf, np.inf)
 
     def test_mass_agrees_with_cdf(self):
         model = DensityModel(np.array([-1.0, 0.0, 2.0]), GAU, 0.9)

@@ -220,8 +220,11 @@ class TestWriters:
             EVENT_HEADER + "49,1,inf,1.5,0,0\n50,1,inf,1.5\n": 3,
             EVENT_HEADER + "49,1,inf,1.5,0,0\n\n50,yes,inf,1.5,0,0\n": 4,
             EVENT_HEADER + "49,1,inf,1.5,0.5,0\n": 2,
+            "\n49,1,inf,1.5,0,0\n": 2,  # the header is the first non-blank line
         }
         assert {text: raised(read_events_csv, p, text) for text in cases} == parse_errors(cases)
+        p.write_text("\n" + EVENT_HEADER + "49,1,inf,1.5,0,0\n")
+        assert read_events_csv(p) == [DetectionEvent(49, True, math.inf, 1.5, 0, rebuild=False)]
 
     def test_events_need_a_row(self, tmp_path):
         p = tmp_path / "e.csv"
