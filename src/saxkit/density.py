@@ -42,6 +42,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # in.  It exceeds the kernel's support (2 * sqrt(5)), so the samples whose
 # bumps reach one point lie in at most two adjacent blocks.
 _EPA_BLOCK = 5.0
+# The farthest a sample may lie from the samples' mean, in bandwidths.  Past
+# it an offset is not exact to a bandwidth, so neither are its block and the
+# offset within it; the prefix sums are finite well before the float range.
+_EPA_MAX_OFFSET = 2.0**52
 
 # Rule-of-thumb constants: density estimation (n**-1/5 decay) and density
 # gradient estimation (n**-1/7 decay), per kernel.
@@ -142,8 +146,16 @@ def _prefix(columns: np.ndarray) -> np.ndarray:
 
 
 def _epa_sums(srt: np.ndarray, h: float) -> _EpaSums:
-    mean = float(np.mean(srt))
-    t = (srt - mean) / h
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(srt))
+        if not math.isfinite(mean):  # the plain sum overflowed; that of the scaled samples cannot
+            mean = float(np.sum(srt / srt.size))
+        t = (srt - mean) / h  # an overflow here fails the check below
+    if not np.abs(t).max() < _EPA_MAX_OFFSET:
+        raise OutOfRangeError(
+            f"samples lie over 2**52 bandwidths of {h!r} from their mean; "
+            "an Epanechnikov model cannot resolve them"
+        )
     block = np.floor(t / _EPA_BLOCK)
     tau = t - (block + 0.5) * _EPA_BLOCK
     whole = np.stack([np.ones_like(t), t, t * t + 1.0], axis=1)
@@ -213,8 +225,9 @@ class DensityModel:
     form a samples-by-points matrix.  The sums are taken about the sample
     mean in bandwidth units, within blocks a few bandwidths wide, so the
     cell moments stay as accurate as the dense formulas whatever the data's
-    offset or its spread in bandwidths.  A Gaussian model sums its kernels
-    directly.
+    offset or its spread in bandwidths.  Samples more than 2**52
+    bandwidths from their mean raise OutOfRangeError.  A Gaussian model
+    sums its kernels directly.
     """
 
     samples: np.ndarray

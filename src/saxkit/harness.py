@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, compress, count, repeat
 from pathlib import Path
 
@@ -62,6 +63,14 @@ __all__ = [
 ]
 
 METHOD_ORDER = tuple(EncodingMethod)
+
+
+def _encoding_method(name) -> EncodingMethod:
+    try:
+        return EncodingMethod(name)
+    except ValueError:
+        valid = ", ".join(m.value for m in METHOD_ORDER)
+        raise InvalidParamsError(f"unknown method {name!r}; expected one of {valid}") from None
 
 
 @dataclass(frozen=True)
@@ -179,12 +188,13 @@ def _check_row(text: str, kinds) -> None:
     fields = text.split(",")
     if len(fields) != len(kinds):
         raise ParseError(f"expected {len(kinds)} column(s), got {len(fields)}")
-    for kind, field in zip(kinds, fields):
-        kind(field)
+    for kind, cell in zip(kinds, fields):
+        kind(cell)
 
 
-def _numeric_columns(path, lines, kinds, header) -> list[list]:
-    """One list per column of ``lines``, parsed by the matching entry of ``kinds``.
+def _numeric_columns(path, lines, kinds, header) -> list:
+    """One column of ``lines`` per entry of ``kinds``, parsed by that entry:
+    a float array for one column, lists for wider rows.
 
     With ``header`` None, a first line that does not parse is a header;
     otherwise the first non-blank line must read ``header``.  A row of the
@@ -205,12 +215,14 @@ def _numeric_columns(path, lines, kinds, header) -> list[list]:
     if not rows:
         raise EmptyFileError(f"no data rows in {path}")
     width = len(kinds)
-    flat = ",".join(rows).split(",")
     try:
-        # one column needs no comma anywhere; wider rows are counted one by one
-        commas = {len(flat) - len(rows)} if width == 1 else set(map(str.count, rows, repeat(",")))
-        if commas != {width - 1}:
+        if width == 1:  # no comma anywhere, then one value per row
+            if "," in "".join(rows):
+                raise ValueError("a row of the wrong width")
+            return [np.fromiter(map(kinds[0], rows), float, len(rows))]
+        if set(map(str.count, rows, repeat(","))) != {width - 1}:
             raise ValueError("a row of the wrong width")
+        flat = ",".join(rows).split(",")
         return [list(map(kind, flat[j::width])) for j, kind in enumerate(kinds)]
     except ValueError:  # name the first bad line
         for lineno, text in zip(numbers, rows):
@@ -462,6 +474,26 @@ class ExperimentGrid:
                     cell_id += 1
 
 
+# Frame elements formed at a time while ``build_pool`` takes each row's RMS.
+_POOL_CHUNK_ELEMENTS = 1 << 16
+
+
+def _plain_frames(blocks, means, stds, nonconstant, length: int, segments: int, rows) -> np.ndarray:
+    """The PAA frames of the Z-normalized windows ``rows`` (a slice or index array).
+
+    Segment k of the window at s is the width-block at s + k*width: a strided
+    view, made C-ordered by its first arithmetic so that a row sums in the
+    same order as a single row does.  Every step is elementwise, so a row's
+    values do not depend on which other rows are formed with it.
+    """
+    width = length // segments
+    segment_means = sliding_window_view(blocks, length - width + 1)[:, ::width]
+    frames = np.subtract(segment_means[rows], means[rows, None], order="C")
+    frames /= stds[rows, None]
+    frames[~nonconstant[rows]] = 0.0
+    return frames
+
+
 @dataclass(frozen=True)
 class SubsequencePool:
     """Sliding-window PAA frames of individually Z-normalized subsequences.
@@ -470,21 +502,50 @@ class SubsequencePool:
     mean is exactly zero); ``frames_unit`` additionally rescales each row to
     unit PAA variance, the space variance-restoring encoders quantize in.
     Rows whose window, or whose PAA frame, is constant are marked invalid.
-    Both frame arrays are C-ordered ``(count, segments)`` arrays built from
-    one pass of prefix sums; :meth:`windows` Z-normalizes any stack of raw
-    windows at once.
+
+    The pool holds no ``(count, segments)`` array.  It keeps the width-block
+    means of the centred corpus and, per window, its mean, its standard
+    deviation and the RMS of its frame (each 1 where the window or frame is
+    constant), and whether the window is non-constant.  Frame rows are
+    formed from these on demand, one elementwise step at a time, so any
+    subset of rows holds the same bits as the full arrays.  ``frames`` and
+    ``frames_unit`` are formed in full, as C-ordered arrays, on first read
+    and cached.  :meth:`windows` Z-normalizes any stack of raw windows at
+    once.
     """
 
     corpus: np.ndarray
     length: int
     segments: int
-    frames: np.ndarray
-    frames_unit: np.ndarray
     valid: np.ndarray
+    _blocks: np.ndarray = field(repr=False)
+    _means: np.ndarray = field(repr=False)
+    _stds: np.ndarray = field(repr=False)
+    _rms: np.ndarray = field(repr=False)
+    _nonconstant: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
-        return self.frames.shape[0]
+        return self.valid.size
+
+    def _rows(self, rows, unit: bool = False) -> np.ndarray:
+        """The frames, or with ``unit`` the unit frames, of ``rows`` as a C-ordered array."""
+        frames = _plain_frames(
+            self._blocks, self._means, self._stds, self._nonconstant, self.length, self.segments, rows
+        )
+        if unit:
+            frames /= self._rms[rows, None]
+            frames[~self.valid[rows]] = 0.0
+        frames.flags.writeable = False
+        return frames
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        return self._rows(slice(None))
+
+    @cached_property
+    def frames_unit(self) -> np.ndarray:
+        return self._rows(slice(None), unit=True)
 
     def windows(self, starts) -> np.ndarray:
         """The raw windows at ``starts``, each Z-normalized on its own, as rows.
@@ -504,6 +565,12 @@ class SubsequencePool:
 
 
 def build_pool(corpus, length: int, segments: int) -> SubsequencePool:
+    """The pool of every ``length``-sample window of ``corpus`` at ``segments`` PAA segments.
+
+    One pass of prefix sums gives each window's mean and standard deviation
+    and the width-block means.  Frame rows are formed only to take each
+    row's RMS, ``_POOL_CHUNK_ELEMENTS`` values at a time, and are not kept.
+    """
     x = np.asarray(corpus, dtype=float).ravel()
     if x.size < length:
         raise TooShortError(f"corpus of {x.size} has no window of {length}")
@@ -521,46 +588,40 @@ def build_pool(corpus, length: int, segments: int) -> SubsequencePool:
     means = (csum[length:] - csum[:-length]) / length
     variances = (csq[length:] - csq[:-length]) / length - means**2
     stds = np.sqrt(np.maximum(variances, 0.0))
-    valid = (stds > 0.0) & (changes[length - 1 :] > changes[:count])
-
-    # segment k of the window at s is the width-block at s + k*width: a
-    # strided view, made C-ordered by its first arithmetic so that the row
-    # sums below add in the same order as a single row's
+    nonconstant = (stds > 0.0) & (changes[length - 1 :] > changes[:count])
     blocks = (csum[width:] - csum[:-width]) / width
-    segment_means = sliding_window_view(blocks, length - width + 1)[:, ::width]
-    safe_std = np.where(valid, stds, 1.0)
-    frames = np.subtract(segment_means, means[:, None], order="C")
-    frames /= safe_std[:, None]
-    frames[~valid] = 0.0
+    safe_std = np.where(nonconstant, stds, 1.0)
 
-    frames_unit = np.square(frames)  # the squares, then the unit frames in place
-    rms = np.sqrt(np.mean(frames_unit, axis=1))
-    valid &= rms > 0.0
+    rms = np.empty(count)
+    step = max(1, _POOL_CHUNK_ELEMENTS // segments)
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        frames = _plain_frames(blocks, means, safe_std, nonconstant, length, segments, rows)
+        rms[rows] = np.sqrt(np.mean(np.square(frames, out=frames), axis=1))
+    valid = nonconstant & (rms > 0.0)
     safe_rms = np.where(rms > 0.0, rms, 1.0)
-    np.divide(frames, safe_rms[:, None], out=frames_unit)
-    frames_unit[~valid] = 0.0
 
-    frames.flags.writeable = False
-    frames_unit.flags.writeable = False
-    valid.flags.writeable = False
-    return SubsequencePool(x, length, segments, frames, frames_unit, valid)
+    for arr in (valid, blocks, means, safe_std, safe_rms, nonconstant):
+        arr.flags.writeable = False
+    return SubsequencePool(x, length, segments, valid, blocks, means, safe_std, safe_rms, nonconstant)
 
 
 def _training_subset(pool: SubsequencePool, mode: NormalizationMode, rng) -> np.ndarray:
     """Square-root sized sample of the flat PAA value pool, without replacement.
 
-    The flat pool is ``source[pool.valid].ravel()``; the sample reads its
-    values by flat index without building it.  The flat index stream comes
-    from the caller's RNG, so passing the same generator state for different
-    normalization modes picks value-for-value aligned subsets.
+    The flat pool is ``source[pool.valid].ravel()``, with ``source`` the
+    pool's ``frames_unit`` or ``frames``; the sample forms only the rows its
+    flat indices hit.  The flat index stream comes from the caller's RNG, so
+    passing the same generator state for different normalization modes picks
+    value-for-value aligned subsets.
     """
-    source = pool.frames_unit if mode is NormalizationMode.PAA_ZNORM else pool.frames
     rows = np.flatnonzero(pool.valid)
     size = rows.size * pool.segments
     if size == 0:
         raise TooShortError("no valid subsequences to train on")
     flat = rng.choice(size, size=math.ceil(math.sqrt(size)), replace=False)
-    return source[rows[flat // pool.segments], flat % pool.segments]
+    frames = pool._rows(rows[flat // pool.segments], unit=mode is NormalizationMode.PAA_ZNORM)
+    return frames[np.arange(flat.size), flat % pool.segments]
 
 
 def _draw_pairs(pool: SubsequencePool, rngs, attempts: int = 1000):
@@ -614,7 +675,7 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
         If a trial finds no non-coinciding pair in 1000 draws.
     """
     x = corpus.values if isinstance(corpus, TimeSeries) else np.asarray(corpus, dtype=float)
-    methods = tuple(EncodingMethod(m) for m in methods)
+    methods = tuple(map(_encoding_method, methods))
     if len(set(methods)) != len(methods):
         raise InvalidParamsError("duplicate methods")
     if x.size < max(grid.lengths):
@@ -744,7 +805,7 @@ def run_fixed_detector(
     test.  Data-driven codebooks train on a square-root sized sample of the
     reduced stream.  Returns ``(events, codebook)``.
     """
-    method = EncodingMethod(method)
+    method = _encoding_method(method)
     if method is EncodingMethod.CSAX:
         raise InvalidParamsError("the adaptive method has its own runner")
     x = np.asarray(values, dtype=float).ravel()

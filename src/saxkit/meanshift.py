@@ -77,13 +77,28 @@ def mean_shift_vector(samples, bandwidth: float, x: float) -> float:
 
     Weights are ``exp(-((s - x) / h)**2 / 2)``; the displacement points uphill
     on the Gaussian KDE of the samples and vanishes exactly at its stationary
-    points.
+    points.  Where an offset ``(s - x) / h`` overflows: next to a nearer
+    sample its weight is 0; if every sample is past about 1.3e154 bandwidths
+    all weigh 1 and the shift is ``mean(samples) - x``.  A shift past the
+    float range raises OutOfRangeError.
     """
     arr = _check_samples_bandwidth(samples, bandwidth)
     if not np.isfinite(x):
         raise OutOfRangeError(f"query point must be finite, got {x}")
-    s0, s1, _, _ = _gauss_sums(arr, bandwidth, np.array([float(x)]))[:, 0]
-    return float(bandwidth * s1 / s0)
+    x = float(x)
+    s0, s1, _, a = _gauss_sums(arr, bandwidth, np.array([x]))[:, 0]
+    shift = bandwidth * s1 / s0
+    if not np.isfinite(shift):  # w * u was 0 * inf, or the u summed past the range
+        with np.errstate(over="ignore"):  # a shift past the range is raised below
+            if np.isinf(a):
+                shift = np.sum(arr / arr.size) - x
+            else:
+                near = np.isfinite((arr - x) / bandwidth)
+                s0, s1, _, _ = _gauss_sums(arr[near], bandwidth, np.array([x]))[:, 0]
+                shift = bandwidth * s1 / s0
+    if not np.isfinite(shift):
+        raise OutOfRangeError(f"the shift from {x!r} lies past the float range")
+    return float(shift)
 
 
 def _merge_endpoints(endpoints: np.ndarray, h: float) -> np.ndarray:

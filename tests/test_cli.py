@@ -149,6 +149,15 @@ class TestTlbRmse:
         )
         assert code == 2
 
+    def test_unknown_method_names_the_valid_ones(self, corpus_csv, capsys):
+        code = run(
+            "tlb-rmse", "--input", corpus_csv,
+            "--lengths", "16", "--bytes", "2", "--kappas", "16", "--trials", 2, "--methods", "foo",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown method 'FOO'; expected one of SAX, ASAX, PSAX, CSAX\n"
+
 
 class TestDetect:
     def test_adaptive_detector_event_log(self, tmp_path, corpus_csv):

@@ -183,6 +183,17 @@ class TestDensityModel:
             pdf = DensityModel(np.array([0.0, 1.0]), kind, h).pdf(far)
             np.testing.assert_array_equal(pdf, np.zeros(len(far)))
 
+    def test_samples_too_many_bandwidths_apart_are_rejected(self):
+        # t * t once overflowed the Epanechnikov prefix sums with a warning
+        for h in (1e-300, 5e-324, 2.0**-53):
+            with pytest.raises(OutOfRangeError):
+                DensityModel(np.array([0.0, 1.0]), EPA, h)
+        h = 2.0**-50  # 2**49 bandwidths from the mean
+        assert DensityModel(np.array([0.0, 1.0]), EPA, h).pdf(0.0) == naive_pdf([0.0, 1.0], EPA, h, 0.0)
+        # a mean that overflows as a plain sum is taken from the scaled samples
+        model = DensityModel(np.array([1e308, 1e308]), EPA, 1.0)
+        assert model.pdf(1e308) == pytest.approx(kernel_eval(EPA, 0.0))
+
     @pytest.mark.parametrize("kind", [EPA, GAU])
     def test_total_mass_one(self, kind):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saxkit import harness
 from saxkit.anomaly import DetectionEvent, DetectorConfig
 from saxkit.codec import (
     EncoderSpec,
@@ -75,6 +77,29 @@ def naive_frames(corpus, length, segments):
         rows.append(f)
         ok.append(bool(np.sqrt(np.mean(f**2)) > 0.0))
     return np.asarray(rows), np.asarray(ok)
+
+
+def whole_array_pool(corpus, length, segments):
+    """Frames, unit frames and validity formed for all windows at once."""
+    x = np.asarray(corpus, dtype=float)
+    width, count = length // segments, x.size - length + 1
+    centred = x - np.mean(x)
+    csum = np.concatenate(([0.0], np.cumsum(centred)))
+    csq = np.concatenate(([0.0], np.cumsum(centred * centred)))
+    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
+    means = (csum[length:] - csum[:-length]) / length
+    stds = np.sqrt(np.maximum((csq[length:] - csq[:-length]) / length - means**2, 0.0))
+    valid = (stds > 0.0) & (changes[length - 1 :] > changes[:count])
+    blocks = (csum[width:] - csum[:-width]) / width
+    segment_means = np.lib.stride_tricks.sliding_window_view(blocks, length - width + 1)[:, ::width]
+    frames = np.subtract(segment_means, means[:, None], order="C")
+    frames /= np.where(valid, stds, 1.0)[:, None]
+    frames[~valid] = 0.0
+    rms = np.sqrt(np.mean(np.square(frames), axis=1))
+    valid &= rms > 0.0
+    frames_unit = frames / np.where(rms > 0.0, rms, 1.0)[:, None]
+    frames_unit[~valid] = 0.0
+    return frames, frames_unit, valid
 
 
 def raised(reader, path, text):
@@ -450,6 +475,50 @@ class TestSubsequencePool:
         for start in (-1, 85):
             with pytest.raises(OutOfRangeError):
                 pool.window(start)
+
+    @pytest.mark.parametrize("chunk", [None, 64, 4])
+    @pytest.mark.parametrize(("length", "segments", "count"), [(64, 8, 37), (480, 32, 4096), (96, 12, 5467)])
+    def test_chunked_rows_equal_the_whole_array_formulas(self, monkeypatch, chunk, length, segments, count):
+        # counts below one chunk, of whole chunks and of a part chunk; a chunk of
+        # 4 elements holds less than one row of 8 or more segments
+        if chunk is not None:
+            monkeypatch.setattr(harness, "_POOL_CHUNK_ELEMENTS", chunk)
+        rng = np.random.default_rng(count)
+        corpus = rng.standard_normal(count + length - 1) + 1e6
+        corpus[count // 3 : count // 3 + 2 * length] = 3.0  # invalid rows
+        pool = build_pool(corpus, length, segments)
+        frames, frames_unit, valid = whole_array_pool(corpus, length, segments)
+        assert pool.count == count and not valid.all()
+        np.testing.assert_array_equal(pool.valid, valid)
+        np.testing.assert_array_equal(pool.frames, frames)
+        np.testing.assert_array_equal(pool.frames_unit, frames_unit)
+        assert pool.frames.flags.c_contiguous and pool.frames_unit.flags.c_contiguous
+
+    def test_frames_are_formed_on_first_read(self):
+        corpus = np.random.default_rng(9).standard_normal(3000)
+        pool = build_pool(corpus, 64, 16)
+        shape = (pool.count, pool.segments)
+
+        def held():
+            return [name for name, v in vars(pool).items() if getattr(v, "shape", None) == shape]
+
+        assert held() == []
+        frames = pool.frames
+        assert held() == ["frames"] and pool.frames is frames
+        pool.frames_unit
+        assert sorted(held()) == ["frames", "frames_unit"]
+
+    def test_build_keeps_no_frame_array(self):
+        corpus = generate_synthetic("bimodal_mixture", 40000, seed=0).values
+        build_pool(corpus, 480, 32)  # warm
+        tracemalloc.start()
+        try:
+            pool = build_pool(corpus, 480, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pool.count * pool.segments * 8 > 10e6  # one frame array
+        assert peak < 8e6
 
     def test_too_short_and_indivisible(self):
         with pytest.raises(TooShortError):

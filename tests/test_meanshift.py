@@ -112,7 +112,14 @@ class TestShiftVector:
         for x, sign in ((1e155, -1.0), (1e200, -1.0), (-1e200, 1.0)):
             shift = mean_shift_vector([0.0, 1.0], 1.0, x)
             assert np.isfinite(shift) and np.sign(shift) == sign
-        assert mean_shift_vector([0.0, 1.0], 0.5, 1e308) < 0.0
+        assert mean_shift_vector([0.0, 1.0], 0.5, 1e308) == 0.5 - 1e308
+        # every offset overflows, on both sides: all weigh 1, the shift leads to the mean
+        assert mean_shift_vector([-1e308, 1e308], 0.5, 0.0) == 0.0
+        # an overflowing offset beside a near sample weighs 0
+        assert mean_shift_vector([0.0, 1e308], 0.5, 0.0) == 0.0
+        assert mean_shift_vector([-1e308, 1e308, 5.0], 0.5, 0.0) == 5.0
+        with pytest.raises(OutOfRangeError):  # the shift itself is past the float range
+            mean_shift_vector([1e308, 1e308], 0.5, -1e308)
 
     def test_stepping_ascends_the_density(self):
         rng = np.random.default_rng(1)
