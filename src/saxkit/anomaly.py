@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import SILVERMAN_CONSTANT
 from .discretize import Codebook, quantize
@@ -234,7 +235,7 @@ class DetectionEvent:
     threshold: float
     components: int
     rebuild: bool = False
-    kappa: int = field(default=0, compare=False)
+    kappa: int = 0
 
 
 def gof_step(
@@ -273,7 +274,9 @@ def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, star
     each as ``gof_step`` decides that window alone.
 
     Windows are taken in chunks sized by ``_chunk_windows``, over only the
-    cells the chunk's symbols occupy.  A chunk's rolling counts are one
+    cells its span of symbols occupies.  A chunk that a wide span shrinks
+    keeps that span's cells; those its own windows leave empty add exact
+    zeros in ``_kl_rows``.  A chunk's rolling counts are one
     ``bincount`` plus a cumulative sum of +1/-1 updates, and its statistics
     against the stored components are one ``_kl_rows`` call.  The walk
     through the chunk stops at each flagged window: its pmf joins the set
@@ -289,9 +292,8 @@ def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, star
         m = len(null_set)
         s = min(sym.size - i, _chunk_windows(m, min(kappa, n)))
         cells, local = np.unique(sym[i - n + 1 : i + s], return_inverse=True)
-        if cells.size > min(kappa, n):  # wider than any one window: shrink the chunk
-            s = min(s, _chunk_windows(m, cells.size))
-            cells, local = np.unique(sym[i - n + 1 : i + s], return_inverse=True)
+        s = min(s, _chunk_windows(m, cells.size))  # shrinks a chunk wider than one window
+        local = local[: s + n - 1]
         counts = np.zeros((s, cells.size), dtype=np.int64)
         counts[0] = np.bincount(local[:n], minlength=cells.size)
         rows = np.arange(1, s)
@@ -394,15 +396,17 @@ def run_csax_detector(
     window decision the clustering is re-estimated from all samples seen
     whenever the window was flagged or the newest sample fell outside the
     observed range widened by the smoothness scale; the rolling counts then
-    restart under the new codebook, and stored windows keep their raw values
-    and are re-expressed under it.  With empty pretraining the first codebook
-    comes from the first ``window`` samples and the first window is always
-    anomalous.
+    restart under the new codebook.  Every sample, pretraining blocks first,
+    sits in one array; a stored window is the position of its last sample
+    there, and a rebuild re-expresses all stored windows under the new
+    codebook with one ``quantize``.
 
-    Non-empty pretraining both fits the initial codebook and seeds the null
-    hypothesis set by rolling the window over the pretraining blocks (no
-    events are emitted for those), so a continuation of the same regime starts
-    out recognized as normal.
+    The first codebook comes from the pretraining blocks, or from the first
+    ``window`` samples when there are none.  The window is rolled over the
+    pretraining blocks (no events are emitted for those) to seed the null
+    hypothesis set, so a continuation of the same regime starts out
+    recognized as normal; with no such window, the first stream window is
+    always anomalous.
 
     Event indices refer to block positions; block ``i`` covers raw samples
     ``[i / ratio, (i + 1) / ratio)``.
@@ -422,42 +426,34 @@ def run_csax_detector(
     seen = np.concatenate((pre_reduced, reduced))  # every sample, in stream order
     if not np.all(np.isfinite(seen)):
         raise OutOfRangeError("stream values must be finite")
-    range_hits = _range_hits(seen)[pre_reduced.size :]  # one per stream block
+    range_hits = _range_hits(seen)
 
+    built_at = pre_reduced.size or n  # samples the codebook was built from
+    codebook, _ = mean_shift_codebook(seen[:built_at])
     null_set = NullHypothesisSet()
-    flagged: list[np.ndarray] = []  # raw values of the stored windows
-    if pre.size:
-        codebook, _ = mean_shift_codebook(pre_reduced)
-        if pre_reduced.size >= n:
-            sym = quantize(codebook, pre_reduced)
-            for event in _rolling(sym, codebook.kappa, config, null_set, n - 1):
-                if event.anomalous:
-                    flagged.append(pre_reduced[event.index - n + 1 : event.index + 1])
-        built_at = pre_reduced.size
-    else:  # cold start: the first window's samples give the first codebook
-        codebook, _ = mean_shift_codebook(reduced[:n])
-        built_at = n
-
+    # each stored window as the position in ``seen`` of its last sample
+    pretrained = _rolling(quantize(codebook, pre_reduced), codebook.kappa, config, null_set, n - 1)
+    ends = [ev.index for ev in pretrained if ev.anomalous]
     events: list[DetectionEvent] = []
     rebuilds = 0
     while len(events) < reduced.size - n + 1:
         sym = quantize(codebook, reduced)
         for event in _rolling(sym, codebook.kappa, config, null_set, n - 1 + len(events)):
-            i = event.index
-            count = pre_reduced.size + i + 1  # samples seen once block i is in
+            end = pre_reduced.size + event.index
             if event.anomalous:
-                flagged.append(reduced[i - n + 1 : i + 1])
+                ends.append(end)
             # re-estimation is skipped when no sample arrived since the last
             # build (only possible right at the cold start)
-            rebuild = (event.anomalous or range_hits[i]) and count != built_at
+            rebuild = (event.anomalous or range_hits[end]) and end + 1 != built_at
             events.append(replace(event, rebuild=True) if rebuild else event)
             if rebuild:
-                codebook, _ = mean_shift_codebook(seen[:count])
-                built_at = count
+                built_at = end + 1
+                codebook, _ = mean_shift_codebook(seen[:built_at])
                 rebuilds += 1
                 null_set = NullHypothesisSet()
-                for w in flagged:
-                    null_set.add(empirical_pmf(quantize(codebook, w), codebook.kappa))
+                stored = sliding_window_view(seen, n)[np.array(ends) - n + 1]
+                for row in quantize(codebook, stored):
+                    null_set.add(empirical_pmf(row, codebook.kappa))
                 break
     return CsaxResult(events, codebook, rebuilds)
 

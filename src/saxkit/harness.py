@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -176,12 +177,13 @@ def _read_lines(path) -> tuple[list, list]:
     return list(compress(count(1), lines)), list(filter(None, lines))
 
 
-def _label(text: str) -> int:
-    label = int(text)
-    if label not in (0, 1):
+def _flag(text: str) -> bool:
+    """A 0/1 cell: a sample's label or an event's flag."""
+    flag = int(text)
+    if flag not in (0, 1):
         # a ParseError, unlike a plain ValueError, never makes a line a header
-        raise ParseError(f"label must be 0 or 1, got {label}")
-    return label
+        raise ParseError(f"expected 0 or 1, got {flag}")
+    return bool(flag)
 
 
 def _check_row(text: str, kinds) -> None:
@@ -234,7 +236,7 @@ def _numeric_columns(path, lines, kinds, header) -> list:
 
 
 def _load(path, lines, labeled: bool):
-    columns = _numeric_columns(path, lines, (float, _label) if labeled else (float,), None)
+    columns = _numeric_columns(path, lines, (float, _flag) if labeled else (float,), None)
     return LabeledStream(*columns, name=Path(path).stem) if labeled else TimeSeries(*columns)
 
 
@@ -262,14 +264,18 @@ def write_labeled_csv(path, stream: LabeledStream) -> None:
     _write_rows(path, ("value", "label"), zip(stream.values.tolist(), stream.labels.tolist()))
 
 
-EVENT_FIELDS = (
-    "index",
-    "flag",
-    "min_statistic",
-    "threshold",
-    "components_count",
-    "rebuild_flag",
+# The event log's columns in ``DetectionEvent``'s field order: the header
+# name, the event field and the cell parser of each.  Flags are written 0/1.
+EVENT_COLUMNS = (
+    ("index", "index", int),
+    ("flag", "anomalous", _flag),
+    ("min_statistic", "min_statistic", float),
+    ("threshold", "threshold", float),
+    ("components_count", "components", int),
+    ("rebuild_flag", "rebuild", _flag),
+    ("kappa", "kappa", int),
 )
+_EVENT_HEADER, _EVENT_FIELDS, _EVENT_KINDS = zip(*EVENT_COLUMNS)
 
 
 # The columns of a tlb-rmse record, in order.
@@ -279,28 +285,19 @@ RECORD_FIELDS = (
 
 
 def event_record(ev: DetectionEvent) -> dict:
-    """One detector event as a row keyed by ``EVENT_FIELDS``; flags are 0/1."""
-    row = (
-        ev.index,
-        int(ev.anomalous),
-        ev.min_statistic,
-        ev.threshold,
-        ev.components,
-        int(ev.rebuild),
-    )
-    return dict(zip(EVENT_FIELDS, row))
+    """One detector event keyed by the event log's header; flags are 0/1."""
+    cells = attrgetter(*_EVENT_FIELDS)(ev)
+    return {name: int(v) if isinstance(v, bool) else v for name, v in zip(_EVENT_HEADER, cells)}
 
 
 def write_events_csv(path, events) -> None:
-    write_records_csv(path, [event_record(ev) for ev in events], EVENT_FIELDS)
+    _write_rows(path, _EVENT_HEADER, map(attrgetter(*_EVENT_FIELDS), events))
 
 
 def read_events_csv(path) -> list[DetectionEvent]:
-    kinds = (int, int, float, float, int, int)
-    index, flag, stat, thr, comps, rebuild = _numeric_columns(
-        path, _read_lines(path), kinds, ",".join(EVENT_FIELDS)
-    )
-    return list(map(DetectionEvent, index, map(bool, flag), stat, thr, comps, map(bool, rebuild)))
+    """The events ``write_events_csv`` wrote, field for field."""
+    columns = _numeric_columns(path, _read_lines(path), _EVENT_KINDS, ",".join(_EVENT_HEADER))
+    return list(map(DetectionEvent, *columns))
 
 
 def write_records_csv(path, records, fieldnames=None) -> None:

@@ -425,12 +425,15 @@ class TestRunDetectorAgainstThePerWindowLoop:
 
     def test_many_flag_stream(self):
         # uniform symbols over a wide alphabet flag most windows, so the null
-        # set doubles its capacity many times over the run
-        symbols = np.random.default_rng(6).integers(0, 300, 2000)
-        config = DetectorConfig(window=50, kappa=300)
-        got = run_detector(symbols, config)
-        assert sum(e.anomalous for e in got) > 1000
-        assert_same_events(got, reference_detector(symbols, config))
+        # set doubles its capacity many times over the run; with kappa above
+        # the window a chunk's span occupies more cells than one window, so
+        # the chunk shrinks and keeps the cells its own windows leave empty
+        for kappa, window in ((300, 50), (1000, 8), (64, 20)):
+            symbols = np.random.default_rng(6).integers(0, kappa, 2000)
+            config = DetectorConfig(window=window, kappa=kappa)
+            got = run_detector(symbols, config)
+            assert sum(e.anomalous for e in got) > 1000
+            assert_same_events(got, reference_detector(symbols, config))
 
 
 class TestCalibration:

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saxkit import harness
-from saxkit.anomaly import DetectionEvent, DetectorConfig
+from saxkit.anomaly import DetectionEvent, DetectorConfig, run_csax_detector, window_scores
 from saxkit.codec import (
     EncoderSpec,
     EncodingMethod,
@@ -38,6 +39,7 @@ from saxkit.harness import (
     LabeledStream,
     RocCurve,
     build_pool,
+    event_record,
     generate_synthetic,
     load_labeled_csv,
     load_series_csv,
@@ -203,7 +205,7 @@ class TestLoaders:
             LabeledStream(np.zeros(2), np.array([0, 2]))
 
 
-EVENT_HEADER = "index,flag,min_statistic,threshold,components_count,rebuild_flag\n"
+EVENT_HEADER = "index,flag,min_statistic,threshold,components_count,rebuild_flag,kappa\n"
 
 
 class TestWriters:
@@ -229,27 +231,59 @@ class TestWriters:
 
     def test_events_round_trip(self, tmp_path):
         p = tmp_path / "e.csv"
+        stream = generate_synthetic("level_shift_anomalies", 5000, seed=13)
+        config = DetectorConfig(window=50, kappa=10)
+        logs = {
+            "hand": [
+                DetectionEvent(49, True, math.inf, 16.918978, 0, rebuild=False, kappa=10),
+                DetectionEvent(50, False, 3.25, 16.918978, 1, rebuild=True, kappa=10),
+            ],
+            "psax": run_fixed_detector(stream.values, EncodingMethod.PSAX, config)[0],
+            "csax": run_csax_detector(stream.values, config).events,
+        }
+        for name, events in logs.items():
+            write_events_csv(p, events)
+            back = read_events_csv(p)
+            assert back == events, name
+            # kappa is written too, so the scores read back bit for bit
+            np.testing.assert_array_equal(window_scores(back), window_scores(events))
+
+    def test_events_bytes(self):
         events = [
-            DetectionEvent(49, True, math.inf, 16.918978, 0, rebuild=False),
-            DetectionEvent(50, False, 3.25, 16.918978, 1, rebuild=True),
+            DetectionEvent(49, True, math.inf, 16.918978, 0, rebuild=False, kappa=10),
+            DetectionEvent(50, False, 0.1, 3.841458820694124, 1, rebuild=True, kappa=2),
         ]
-        write_events_csv(p, events)
-        assert read_events_csv(p) == events
+        out = io.StringIO()
+        write_events_csv(out, events)
+        assert out.getvalue() == (
+            EVENT_HEADER + "49,1,inf,16.918978,0,0,10\n50,0,0.1,3.841458820694124,1,1,2\n"
+        )
+        assert json.dumps([event_record(ev) for ev in events]) == (
+            '[{"index": 49, "flag": 1, "min_statistic": Infinity, "threshold": 16.918978, '
+            '"components_count": 0, "rebuild_flag": 0, "kappa": 10}, '
+            '{"index": 50, "flag": 0, "min_statistic": 0.1, "threshold": 3.841458820694124, '
+            '"components_count": 1, "rebuild_flag": 1, "kappa": 2}]'
+        )
 
     def test_events_header_checked(self, tmp_path):
         p = tmp_path / "e.csv"
+        six_columns = "index,flag,min_statistic,threshold,components_count,rebuild_flag\n"
         cases = {
             "wrong,header\n": 1,
-            "index,flag,min_statistic,threshold,components,rebuild_flag\n49,1,inf,1.5,0,0\n": 1,
-            "49,1,inf,1.5,0,0\n": 1,
-            EVENT_HEADER + "49,1,inf,1.5,0,0\n50,1,inf,1.5\n": 3,
-            EVENT_HEADER + "49,1,inf,1.5,0,0\n\n50,yes,inf,1.5,0,0\n": 4,
-            EVENT_HEADER + "49,1,inf,1.5,0.5,0\n": 2,
-            "\n49,1,inf,1.5,0,0\n": 2,  # the header is the first non-blank line
+            "index,flag,min_statistic,threshold,components,rebuild_flag,kappa\n49,1,inf,1.5,0,0,4\n": 1,
+            "\n" + six_columns + "49,1,inf,1.5,0,0\n": 2,  # a log without kappa
+            "49,1,inf,1.5,0,0,4\n": 1,
+            EVENT_HEADER + "49,1,inf,1.5,0,0,4\n50,1,inf,1.5,1,0\n": 3,
+            EVENT_HEADER + "49,1,inf,1.5,0,0,4\n\n50,yes,inf,1.5,0,0,4\n": 4,
+            EVENT_HEADER + "49,1,inf,1.5,0.5,0,4\n": 2,
+            EVENT_HEADER + "49,1,inf,1.5,0,0,4\n50,2,inf,1.5,1,0,4\n": 3,  # flags are 0/1
+            EVENT_HEADER + "49,1,inf,1.5,0,-1,4\n": 2,
+            EVENT_HEADER + "49,1,inf,1.5,0,0,4.0\n": 2,
+            "\n49,1,inf,1.5,0,0,4\n": 2,  # the header is the first non-blank line
         }
         assert {text: raised(read_events_csv, p, text) for text in cases} == parse_errors(cases)
-        p.write_text("\n" + EVENT_HEADER + "49,1,inf,1.5,0,0\n")
-        assert read_events_csv(p) == [DetectionEvent(49, True, math.inf, 1.5, 0, rebuild=False)]
+        p.write_text("\n" + EVENT_HEADER + "49,1,inf,1.5,0,0,4\n")
+        assert read_events_csv(p) == [DetectionEvent(49, True, math.inf, 1.5, 0, rebuild=False, kappa=4)]
 
     def test_events_need_a_row(self, tmp_path):
         p = tmp_path / "e.csv"
