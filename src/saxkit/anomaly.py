@@ -37,6 +37,7 @@ from .errors import (
     StreamTooShortError,
     SymbolOutOfRangeError,
     WindowLengthMismatchError,
+    integral,
 )
 from .meanshift import mean_shift_codebook
 from .series import _paa_rows
@@ -176,6 +177,8 @@ class DetectorConfig:
     kappa: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "window", integral(self.window, "window"))
+        object.__setattr__(self, "kappa", integral(self.kappa, "kappa"))
         if self.window < 1:
             raise InvalidParamsError(f"window must be >= 1, got {self.window}")
         if not 0.0 < self.alpha < 1.0:
@@ -463,11 +466,17 @@ def window_scores(events) -> np.ndarray:
 
     Comparable across events even when the alphabet size (and with it the
     degrees of freedom) changed during the run; infinite statistics map to an
-    infinite score.
+    infinite score.  An event with ``kappa < 2`` has no degree of freedom and
+    raises OutOfRangeError.
     """
     from scipy.special import gammaincc  # imported here: scipy.special is slow to load
 
     stats = np.array([ev.min_statistic for ev in events], dtype=float)
-    dof = np.maximum(np.array([ev.kappa for ev in events], dtype=float) - 1.0, 1.0)
+    kappas = np.array([ev.kappa for ev in events], dtype=np.int64)
+    short = np.flatnonzero(kappas < 2)
+    if short.size:
+        ev = events[short[0]]
+        raise OutOfRangeError(f"event {ev.index} has kappa {ev.kappa} < 2: no degree of freedom")
+    dof = kappas - 1.0
     with np.errstate(divide="ignore"):  # a zero tail probability scores +inf
         return -np.log10(gammaincc(dof / 2.0, stats / 2.0))

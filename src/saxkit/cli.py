@@ -276,22 +276,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_text(value):
+    """A config value as the text its flag would take: lists joined with
+    commas, booleans and null as they are."""
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
 def _apply_config(parser, argv):
-    """Let a --config JSON pre-fill option defaults, then re-parse."""
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    with open(args.config, "r", encoding="utf-8") as fh:
+    """Let a --config JSON pre-fill option defaults, then parse.
+
+    Each value reaches argparse as the text its flag would take, so the
+    flag's type and choices check it as they check the flag, and an option
+    the config supplies is no longer required.
+    """
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # the full parse reports it
+        path = None
+    if path is None:
+        return parser.parse_args(argv)
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.config}: {exc}") from None
+            raise ParseError(f"{path}: {exc}") from None
     if not isinstance(overrides, dict):
-        raise ParseError(f"{args.config}: top level must be a JSON object")
-    for action in parser._subparsers._group_actions[0].choices.values():
-        known = {a.dest for a in action._actions}
-        action.set_defaults(**{k: v for k, v in overrides.items() if k in known})
-    return parser.parse_args(argv)
+        raise ParseError(f"{path}: top level must be a JSON object")
+    texts = {k: _config_text(v) for k, v in overrides.items()}
+    subs = parser._subparsers._group_actions[0].choices
+    for action in (a for sub in subs.values() for a in sub._actions if a.dest in texts):
+        action.default = texts[action.dest]
+        if action.default is not None:
+            action.required = False
+    args = parser.parse_args(argv)
+    sub = subs[args.command]
+    for action in sub._actions:
+        if action.choices is not None and texts.get(action.dest) is not None:
+            try:
+                sub._check_value(action, getattr(args, action.dest))
+            except argparse.ArgumentError as exc:
+                sub.error(str(exc))
+    return args
 
 
 def main(argv=None) -> int:

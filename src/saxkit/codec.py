@@ -38,6 +38,7 @@ from .errors import (
     IndivisibleLengthError,
     OutOfRangeError,
     SymbolOutOfRangeError,
+    integral,
 )
 from .meanshift import mean_shift_codebook
 from .series import NormalizationStats, PaaSeries, TimeSeries, _as_finite_array, _paa_rows, _row_stats
@@ -96,10 +97,11 @@ class EncoderSpec:
             object.__setattr__(self, "normalization", default_normalization(self.method))
         else:
             object.__setattr__(self, "normalization", NormalizationMode(self.normalization))
-        if int(self.segments) < 1:
+        segments = integral(self.segments, "segment count", OutOfRangeError)
+        if segments < 1:
             raise OutOfRangeError(f"segment count must be >= 1, got {self.segments}")
-        object.__setattr__(self, "segments", int(self.segments))
-        object.__setattr__(self, "kappa", int(self.kappa))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "kappa", integral(self.kappa, "alphabet size", OutOfRangeError))
         object.__setattr__(self, "seed", int(self.seed))
 
 

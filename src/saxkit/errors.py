@@ -112,3 +112,14 @@ class NoPositivesError(SaxkitError, ValueError):
 
 class NoNegativesError(SaxkitError, ValueError):
     """Labels contain no negative windows; ROC is undefined."""
+
+
+def integral(value, name: str, error: type[SaxkitError] = InvalidParamsError) -> int:
+    """``value`` as an int when it is a whole number, such as 30 or 30.0;
+    any other value, such as 30.9, raises ``error`` instead of truncating."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be a whole number, got {value!r}")

@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     TooShortError,
     ZeroDistanceError,
+    integral,
 )
 from .metrics import _dist_error, _euclidean, _tlb
 from .series import TimeSeries, _row_stats
@@ -381,10 +382,11 @@ def _gen_level_shift(length, rng, rate, segment, shift):
     return values, labels
 
 
-# Each generator kind's parameters and their defaults; a passed value is
-# converted by its default's type.  ``weight`` is the mass of the ``mu1``
-# component; ``rate`` is the target labeled fraction, placed as
-# ``max(1, round(rate * length / segment))`` disjoint shifted segments.
+# Each generator kind's parameters and their defaults.  A passed value must be
+# a whole number where the default is an int, and is taken as a float
+# otherwise.  ``weight`` is the mass of the ``mu1`` component; ``rate`` is the
+# target labeled fraction, placed as ``max(1, round(rate * length / segment))``
+# disjoint shifted segments.
 GENERATOR_PARAMS = {
     "gaussian_iid": {},
     "ar1": {"phi": 0.9},
@@ -399,6 +401,7 @@ def generate_synthetic(kind: str, length: int, seed: int = 0, **params):
 
     The kinds, their parameters and defaults are ``GENERATOR_PARAMS``.
     """
+    length = integral(length, "length")
     if length < 1:
         raise InvalidParamsError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
@@ -408,7 +411,10 @@ def generate_synthetic(kind: str, length: int, seed: int = 0, **params):
     extra = set(params) - set(defaults)
     if extra:
         raise InvalidParamsError(f"{kind} does not take {sorted(extra)}")
-    args = {name: type(value)(params.get(name, value)) for name, value in defaults.items()}
+    args = {}
+    for name, default in defaults.items():
+        value = params.get(name, default)
+        args[name] = integral(value, name) if isinstance(default, int) else float(value)
     if kind == "level_shift_anomalies":
         return LabeledStream(*_gen_level_shift(length, rng, **args), name=kind)
     if kind == "gaussian_iid":
@@ -449,9 +455,10 @@ class ExperimentGrid:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
-        object.__setattr__(self, "byte_budgets", tuple(int(b) for b in self.byte_budgets))
-        object.__setattr__(self, "kappas", tuple(int(k) for k in self.kappas))
+        for axis in ("lengths", "byte_budgets", "kappas"):
+            values = tuple(integral(v, axis) for v in getattr(self, axis))
+            object.__setattr__(self, axis, values)
+        object.__setattr__(self, "trials", integral(self.trials, "trials"))
         if not self.lengths or not self.byte_budgets or not self.kappas:
             raise InvalidParamsError("grid axes must be non-empty")
         if self.trials < 0:

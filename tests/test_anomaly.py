@@ -348,6 +348,11 @@ class TestRunDetector:
             DetectorConfig(alpha=1.5)
         with pytest.raises(InvalidParamsError):
             DetectorConfig(kappa=1)
+        # window and kappa are whole numbers: 2.5 is refused at construction
+        for bad in ({"window": 2.5}, {"kappa": 10.5}, {"window": math.inf}):
+            with pytest.raises(InvalidParamsError):
+                DetectorConfig(**bad)
+        assert DetectorConfig(window=30.0, kappa=6.0) == DetectorConfig(window=30, kappa=6)
 
 
 def reference_detector(symbols, config):
@@ -769,10 +774,15 @@ class TestWindowScores:
         stats = [0.0, 1e-3, 0.5, 3.0, 16.9, 80.0, 900.0, 5000.0, math.inf]
         events = [
             DetectionEvent(i, False, stat, 16.9, 1, kappa=kappa)
-            for i, (stat, kappa) in enumerate(itertools.product(stats, [1, 2, 10, 300]))
+            for i, (stat, kappa) in enumerate(itertools.product(stats, [2, 10, 300]))
         ]
         expected = []
         for ev in events:
-            p = float(gammaincc(max(ev.kappa - 1, 1) / 2.0, ev.min_statistic / 2.0))
+            p = float(gammaincc((ev.kappa - 1) / 2.0, ev.min_statistic / 2.0))
             expected.append(math.inf if p == 0.0 else -math.log10(p))
         np.testing.assert_allclose(window_scores(events), expected, rtol=1e-12)
+        # an event with no degree of freedom is named, not scored at one
+        for kappa in (1, 0):
+            bad = [*events[:3], DetectionEvent(77, False, 3.0, 16.9, 1, kappa=kappa), *events[3:]]
+            with pytest.raises(OutOfRangeError, match=f"event 77 has kappa {kappa} < 2"):
+                window_scores(bad)

@@ -264,12 +264,27 @@ def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, corpus_csv, labeled_csv
 
 
 class TestConfigAndErrors:
-    def test_config_prefills_options(self, tmp_path, corpus_csv):
+    def test_config_prefills_options(self, tmp_path, corpus_csv, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"window": 30, "detector": "sax"}))
         out = tmp_path / "events.csv"
         assert run("detect", "--input", corpus_csv, "--config", cfg, "--out", out) == 0
         assert read_events_csv(out)[0].index == 29
+        # a config may supply required options, and lists for comma-separated flags
+        fit_flags = ("--input", corpus_csv, "--method", "psax", "--segments", 8, "--kappa", 6)
+        fit_config = {"input": str(corpus_csv), "method": "psax", "segments": 8, "kappa": 6}
+        grid_flags = ("--lengths", "16,32", "--bytes", 2, "--kappas", 16, "--methods", "SAX,ASAX")
+        grid_config = {"lengths": [16, 32], "bytes": [2], "kappas": [16], "methods": ["SAX", "ASAX"]}
+        cases = [
+            (("fit",), fit_flags, fit_config),
+            (("tlb-rmse", "--input", corpus_csv, "--trials", 2), grid_flags, grid_config),
+        ]
+        for command, flags, config in cases:
+            cfg.write_text(json.dumps(config))
+            assert run(*command, *flags) == 0
+            from_flags = capsys.readouterr().out
+            assert run(*command, "--config", cfg) == 0
+            assert capsys.readouterr().out == from_flags
 
     def test_explicit_flags_beat_the_config(self, tmp_path, corpus_csv):
         cfg = tmp_path / "cfg.json"
@@ -281,10 +296,29 @@ class TestConfigAndErrors:
         assert code == 0
         assert read_events_csv(out)[0].index == 19
 
-    def test_bad_config_json(self, tmp_path, corpus_csv):
+    def test_bad_config_json(self, tmp_path, corpus_csv, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json")
-        assert run("detect", "--input", corpus_csv, "--config", cfg) == 2
+        cases = [
+            ("not json", ("detect",), "Expecting value"),
+            # config values pass the checks of the flags they fill in
+            ('{"window": 30.5}', ("detect",), "argument --window: invalid int value: '30.5'"),
+            ('{"window": 50.0}', ("detect",), "argument --window: invalid int value: '50.0'"),
+            (
+                '{"normalization": "foo"}',
+                ("fit", "--method", "sax", "--segments", 8),
+                "argument --normalization: invalid choice: 'foo'",
+            ),
+            ('{"segments": null}', ("fit", "--method", "sax"), "arguments are required: --segments"),
+            ('{"method": "PSAX"}', ("fit", "--segments", 8), "argument --method: invalid choice: 'PSAX'"),
+        ]
+        for text, argv, message in cases:
+            cfg.write_text(text)
+            try:
+                code = run(*argv, "--input", corpus_csv, "--config", cfg)
+            except SystemExit as exc:  # argparse's own errors
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code == 2 and "error: " in err and message in err, text
 
     def test_missing_input_returns_two(self, tmp_path):
         assert run("detect", "--input", tmp_path / "absent.csv") == 2

@@ -75,6 +75,12 @@ class TestSpecDefaults:
     def test_segment_count_validated(self):
         with pytest.raises(OutOfRangeError):
             EncoderSpec(SAX, 0)
+        # a count is a whole number: 2.7 is refused, not truncated to 2
+        for segments, kappa in ((2.7, 10), (8, 10.5), (np.nan, 10), ("8", 10)):
+            with pytest.raises(OutOfRangeError):
+                EncoderSpec(SAX, segments, kappa=kappa)
+        spec = EncoderSpec(SAX, 8.0, kappa=np.float64(16.0))
+        assert (spec.segments, spec.kappa) == (8, 16) and type(spec.segments) is int
 
 
 class TestFit:

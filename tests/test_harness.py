@@ -408,6 +408,11 @@ class TestGenerators:
         b = generate_synthetic("level_shift_anomalies", 2000, seed=4, segment=30)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.labels, b.labels)
+        # a fractional count is refused, not truncated
+        with pytest.raises(InvalidParamsError, match="segment must be a whole number, got 30.9"):
+            generate_synthetic("level_shift_anomalies", 2000, seed=4, segment=30.9)
+        with pytest.raises(InvalidParamsError):
+            generate_synthetic("gaussian_iid", 100.5)
 
 
 class TestGrid:
@@ -441,6 +446,13 @@ class TestGrid:
             ExperimentGrid(lengths=(), byte_budgets=(8,), kappas=(16,))
         with pytest.raises(InvalidParamsError):
             ExperimentGrid(lengths=(480,), byte_budgets=(8,), kappas=(16,), trials=-1)
+        # counts are whole numbers: 480.9 is refused, not truncated to 480
+        good = {"lengths": (480,), "byte_budgets": (8,), "kappas": (16,)}
+        for bad in ({"lengths": (480.9,)}, {"byte_budgets": (8.5,)}, {"kappas": (16.2,)}, {"trials": 2.5}):
+            with pytest.raises(InvalidParamsError):
+                ExperimentGrid(**{**good, **bad})
+        grid = ExperimentGrid(lengths=(480.0,), byte_budgets=(8.0,), kappas=(16.0,), trials=2.0)
+        assert (grid.lengths, grid.byte_budgets, grid.kappas, grid.trials) == ((480,), (8,), (16,), 2)
 
 
 class TestSubsequencePool:
