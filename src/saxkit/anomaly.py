@@ -295,7 +295,7 @@ def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, star
         m = len(null_set)
         s = min(sym.size - i, _chunk_windows(m, min(kappa, n)))
         cells, local = np.unique(sym[i - n + 1 : i + s], return_inverse=True)
-        s = min(s, _chunk_windows(m, cells.size))  # shrinks a chunk wider than one window
+        s = min(s, _chunk_windows(m, cells.size))  # a span over more cells than a window holds
         local = local[: s + n - 1]
         counts = np.zeros((s, cells.size), dtype=np.int64)
         counts[0] = np.bincount(local[:n], minlength=cells.size)
