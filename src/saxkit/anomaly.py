@@ -277,10 +277,10 @@ def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, star
     each as ``gof_step`` decides that window alone.
 
     Windows are taken in chunks sized by ``_chunk_windows``, over only the
-    cells its span of symbols occupies.  A chunk that a wide span shrinks
-    keeps that span's cells; those its own windows leave empty add exact
-    zeros in ``_kl_rows``.  A chunk's rolling counts are one
-    ``bincount`` plus a cumulative sum of +1/-1 updates, and its statistics
+    cells its span of symbols occupies; a chunk that a wide span shrinks
+    re-indexes its shorter span, so it keeps only the cells that span
+    occupies.  A chunk's rolling counts are one ``bincount`` plus a
+    cumulative sum of +1/-1 updates, and its statistics
     against the stored components are one ``_kl_rows`` call.  The walk
     through the chunk stops at each flagged window: its pmf joins the set
     just before its event is yielded, then its own column is scored against
@@ -295,8 +295,10 @@ def _rolling(sym: np.ndarray, kappa: int, config: DetectorConfig, null_set, star
         m = len(null_set)
         s = min(sym.size - i, _chunk_windows(m, min(kappa, n)))
         cells, local = np.unique(sym[i - n + 1 : i + s], return_inverse=True)
-        s = min(s, _chunk_windows(m, cells.size))  # a span over more cells than a window holds
-        local = local[: s + n - 1]
+        if cells.size > min(kappa, n):  # wider than any one window: shrink the chunk
+            s = min(s, _chunk_windows(m, cells.size))
+            used, local = np.unique(local[: s + n - 1], return_inverse=True)
+            cells = cells[used]  # and keep only the cells its shorter span occupies
         counts = np.zeros((s, cells.size), dtype=np.int64)
         counts[0] = np.bincount(local[:n], minlength=cells.size)
         rows = np.arange(1, s)

@@ -2,8 +2,8 @@
 
 Subcommands: ``gen``, ``fit``, ``encode``, ``tlb-rmse``, ``detect``, ``roc``,
 ``info-loss``.  Every subcommand accepts ``--seed``, ``--out`` (default:
-stdout) and ``--config <json>`` whose top-level keys pre-fill any option of
-the same name; explicit flags win over the config file.
+stdout) and ``--config <json>`` whose top-level keys fill the subcommand's
+options of the same name; explicit flags win over the config file.
 """
 
 from __future__ import annotations
@@ -276,31 +276,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_text(value):
-    """A config value as the text its flag would take: lists joined with
-    commas, booleans and null as they are."""
-    if value is None or isinstance(value, bool):
-        return value
-    if isinstance(value, list):
-        return ",".join(map(str, value))
-    return str(value)
+def _config_tokens(sub, path) -> list[str]:
+    """The flags of subcommand parser ``sub`` that the --config JSON object at
+    ``path`` stands for.
 
-
-def _apply_config(parser, argv):
-    """Let a --config JSON pre-fill option defaults, then parse.
-
-    Each value reaches argparse as the text its flag would take, so the
-    flag's type and choices check it as they check the flag, and an option
-    the config supplies is no longer required.
+    Each key names an option by its destination (``paa_ratio`` for
+    ``--paa-ratio``).  A switch takes ``true`` (set) or ``false``; any other
+    value becomes the text its flag would take, lists joined with commas, so
+    argparse checks it as it checks the flag.  ``null`` leaves the option out.
     """
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        path = pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # the full parse reports it
-        path = None
-    if path is None:
-        return parser.parse_args(argv)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
@@ -308,21 +292,41 @@ def _apply_config(parser, argv):
             raise ParseError(f"{path}: {exc}") from None
     if not isinstance(overrides, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    texts = {k: _config_text(v) for k, v in overrides.items()}
+    options = {a.dest: a for a in sub._actions if a.option_strings}
+    del options["help"], options["config"]
+    tokens = []
+    for key, value in overrides.items():
+        if key not in options:
+            raise ParseError(f"{path}: {key!r} names no option of {sub.prog}")
+        flag = options[key].option_strings[0]
+        if options[key].nargs == 0:
+            if not (value is None or isinstance(value, bool)):
+                raise ParseError(f"{path}: switch {key!r} takes true, false or null, got {value!r}")
+            if value:
+                tokens.append(flag)
+        elif value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            tokens.append(f"{flag}={text}")
+    return tokens
+
+
+def _apply_config(parser, argv):
+    """Parse ``argv`` with the flags of its --config file, if any, placed
+    right after the subcommand name, so explicit flags later in ``argv`` win
+    and argparse checks the config's values, choices and required options as
+    it checks the command line's."""
     subs = parser._subparsers._group_actions[0].choices
-    for action in (a for sub in subs.values() for a in sub._actions if a.dest in texts):
-        action.default = texts[action.dest]
-        if action.default is not None:
-            action.required = False
-    args = parser.parse_args(argv)
-    sub = subs[args.command]
-    for action in sub._actions:
-        if action.choices is not None and texts.get(action.dest) is not None:
-            try:
-                sub._check_value(action, getattr(args, action.dest))
-            except argparse.ArgumentError as exc:
-                sub.error(str(exc))
-    return args
+    if not argv or argv[0] not in subs:
+        return parser.parse_args(argv)
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # the full parse reports it
+        path = None
+    if path is None:
+        return parser.parse_args(argv)
+    return parser.parse_args([argv[0], *_config_tokens(subs[argv[0]], path), *argv[1:]])
 
 
 def main(argv=None) -> int:

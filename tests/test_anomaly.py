@@ -432,7 +432,7 @@ class TestRunDetectorAgainstThePerWindowLoop:
         # uniform symbols over a wide alphabet flag most windows, so the null
         # set doubles its capacity many times over the run; with kappa above
         # the window a chunk's span occupies more cells than one window, so
-        # the chunk shrinks and keeps the cells its own windows leave empty
+        # the chunk shrinks and re-indexes its shorter span
         for kappa, window in ((300, 50), (1000, 8), (64, 20)):
             symbols = np.random.default_rng(6).integers(0, kappa, 2000)
             config = DetectorConfig(window=window, kappa=kappa)

@@ -275,9 +275,15 @@ class TestConfigAndErrors:
         fit_config = {"input": str(corpus_csv), "method": "psax", "segments": 8, "kappa": 6}
         grid_flags = ("--lengths", "16,32", "--bytes", 2, "--kappas", 16, "--methods", "SAX,ASAX")
         grid_config = {"lengths": [16, 32], "bytes": [2], "kappas": [16], "methods": ["SAX", "ASAX"]}
+        # null leaves an option at its default
+        gen = ("gen", "--kind", "gaussian_iid", "--length", 100)
+        grid = ("tlb-rmse", "--input", corpus_csv, "--trials", 2)
         cases = [
             (("fit",), fit_flags, fit_config),
-            (("tlb-rmse", "--input", corpus_csv, "--trials", 2), grid_flags, grid_config),
+            (grid, grid_flags, grid_config),
+            (gen, ("--seed", 0), {"seed": None}),
+            (("info-loss", "--input", corpus_csv), ("--normalize",), {"normalize": True, "bits": False}),
+            (grid, ("--bytes", 2, "--kappas", 16), {"lengths": None, "bytes": [2], "kappas": [16]}),
         ]
         for command, flags, config in cases:
             cfg.write_text(json.dumps(config))
@@ -310,6 +316,12 @@ class TestConfigAndErrors:
             ),
             ('{"segments": null}', ("fit", "--method", "sax"), "arguments are required: --segments"),
             ('{"method": "PSAX"}', ("fit", "--segments", 8), "argument --method: invalid choice: 'PSAX'"),
+            ('{"window": true}', ("detect",), "argument --window: invalid int value: 'True'"),
+            ('{"normalize": 0}', ("info-loss",), "switch 'normalize' takes true, false or null, got 0"),
+            # a key must name an option of the subcommand, by its destination
+            ('{"windw": 30}', ("detect",), "'windw' names no option of saxkit detect"),
+            ('{"paa-ratio": 0.5}', ("detect",), "'paa-ratio' names no option of saxkit detect"),
+            ('{"kind": "ar1"}', ("detect",), "'kind' names no option of saxkit detect"),
         ]
         for text, argv, message in cases:
             cfg.write_text(text)
