@@ -131,6 +131,22 @@ class TestTlbRmse:
         assert code == 0
         rows = read_records_csv(out)
         assert set(rows[0]) == {"length", "SAX_2B", "PSAX_2B"}
+        header = "length,PSAX_2B,SAX_2B,PSAX_4B,SAX_4B\n"
+        pinned = {
+            "tlb": header
+            + "16,0.46945920089092574,0.3374595394827799,0.4095412299853569,0.28847324682280845\n"
+            + "32,0.37667010218985547,0.31810938460333976,0.47258826645810026,0.4582583857948458\n",
+            "rmse": header
+            + "16,0.8812889273939666,0.8845842983030483,0.7806598875348862,0.7798640251158986\n"
+            + "32,0.9107359585342434,0.9111027843226739,0.8941938435205087,0.894906034028605\n",
+        }
+        for metric, text in pinned.items():
+            code = run(
+                "tlb-rmse", "--input", corpus_csv,
+                "--lengths", "16,32", "--bytes", "2,4", "--kappas", "16",
+                "--trials", 2, "--methods", "SAX,PSAX", "--pivot", metric, "--out", out,
+            )
+            assert code == 0 and out.read_text() == text, metric
 
     def test_zero_trials_writes_the_header_only(self, tmp_path, corpus_csv):
         out = tmp_path / "grid.csv"

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -453,6 +454,11 @@ class TestGrid:
                 ExperimentGrid(**{**good, **bad})
         grid = ExperimentGrid(lengths=(480.0,), byte_budgets=(8.0,), kappas=(16.0,), trials=2.0)
         assert (grid.lengths, grid.byte_budgets, grid.kappas, grid.trials) == ((480,), (8,), (16,), 2)
+        # the first bad cell in cells() order is the one reported
+        with pytest.raises(GridInfeasibleError, match="N=480, bytes=7, kappa=256: 7 segments"):
+            ExperimentGrid(lengths=(480, 100), byte_budgets=(8, 7), kappas=(256, 16))
+        with pytest.raises(OutOfRangeError, match="alphabet size must be >= 2, got 1"):
+            ExperimentGrid(lengths=(480, 100), byte_budgets=(8,), kappas=(16, 1))
 
 
 class TestSubsequencePool:
@@ -667,13 +673,23 @@ class TestGridEqualsOnePairScoring:
         assert run_tlb_rmse_experiment(c, grid) == one_pair_records(c, grid)
 
     def test_periodic_corpus_rejects_first_draws(self):
-        corpus = np.tile(np.random.default_rng(0).normal(size=20), 5)
-        grid = ExperimentGrid(lengths=(16,), byte_budgets=(2,), kappas=(16,), trials=100, seed=0)
-        # windows 20 apart coincide: 8 of the 100 first draws must draw again
-        candidates = np.flatnonzero(build_pool(corpus, 16, 4).valid)
-        first = [candidates[np.random.default_rng([0, 0, t]).integers(0, candidates.size, size=2)] for t in range(100)]
-        assert sum((i - j) % 20 == 0 for i, j in first) == 8
-        assert run_tlb_rmse_experiment(corpus, grid) == one_pair_records(corpus, grid)
+        def draws(candidates, period, trial):
+            """Pairs trial ``trial`` draws until its windows are not a multiple of ``period`` apart."""
+            rng = np.random.default_rng([0, 0, trial])
+            for drawn in itertools.count(1):
+                i, j = candidates[rng.integers(0, candidates.size, size=2)]
+                if (i - j) % period:
+                    return drawn
+
+        # windows a period apart coincide; (redrawn trials, trials drawing 3+ times, most draws).
+        # Both grids have 4 segments; a 5-periodic pool has too few values for 16 symbols.
+        for period, repeats, budget, kappa, expected in ((20, 5, 2, 16, (8, 2, 3)), (5, 8, 1, 4, (22, 3, 4))):
+            grid = ExperimentGrid(lengths=(16,), byte_budgets=(budget,), kappas=(kappa,), trials=100, seed=0)
+            corpus = np.tile(np.random.default_rng(0).normal(size=period), repeats)
+            candidates = np.flatnonzero(build_pool(corpus, 16, 4).valid)
+            counts = [draws(candidates, period, t) for t in range(100)]
+            assert (sum(c > 1 for c in counts), sum(c > 2 for c in counts), max(counts)) == expected
+            assert run_tlb_rmse_experiment(corpus, grid) == one_pair_records(corpus, grid)
 
     def test_coinciding_pairs_raise(self):
         # every window of a geometric series Z-normalizes to the same values
@@ -693,6 +709,8 @@ class TestPivot:
             {"length": 480, "bytes": 8, "kappa": 16, "method": "SAX", "tlb_mean": 0.5},
             {"length": 480, "bytes": 8, "kappa": 16, "method": "PSAX", "tlb_mean": 0.6},
             {"length": 960, "bytes": 8, "kappa": 16, "method": "SAX", "tlb_mean": 0.4},
+            # a second record of a cell is not read
+            {"length": 480, "bytes": 8, "kappa": 16, "method": "SAX", "tlb_mean": 0.9},
         ]
         table = pivot_records(records, "tlb_mean", kappa=16)
         assert table[0] == {"length": 480, "PSAX_8B": 0.6, "SAX_8B": 0.5}
