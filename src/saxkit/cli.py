@@ -130,14 +130,12 @@ def _cmd_tlb_rmse(args) -> int:
         seed=args.seed,
     )
     methods = [m.strip().upper() for m in args.methods.split(",")]
-    records = run_tlb_rmse_experiment(corpus, grid, methods)
+    records, fields = run_tlb_rmse_experiment(corpus, grid, methods), RECORD_FIELDS
     if args.pivot is not None:
         if len(grid.kappas) != 1:
             raise InvalidParamsError("--pivot needs a single-kappa grid")
-        records = pivot_records(records, f"{args.pivot}_mean", grid.kappas[0])
-        write_records_csv(args.out, records)
-        return 0
-    write_records_csv(args.out, records, RECORD_FIELDS)
+        records, fields = pivot_records(records, f"{args.pivot}_mean", grid.kappas[0]), None
+    write_records_csv(args.out, records, fields)
     return 0
 
 

@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, product, repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -463,19 +463,12 @@ class ExperimentGrid:
             raise InvalidParamsError("grid axes must be non-empty")
         if self.trials < 0:
             raise InvalidParamsError(f"trials must be >= 0, got {self.trials}")
-        for n, b, k in (
-            (n, b, k) for n in self.lengths for b in self.byte_budgets for k in self.kappas
-        ):
-            segments_for_budget(n, b, k)
+        list(self.cells())  # raises for the first infeasible cell
 
     def cells(self):
         """Yield ``(cell_id, length, bytes, kappa, segments)`` in a fixed order."""
-        cell_id = 0
-        for n in self.lengths:
-            for b in self.byte_budgets:
-                for k in self.kappas:
-                    yield cell_id, n, b, k, segments_for_budget(n, b, k)
-                    cell_id += 1
+        for cell_id, (n, b, k) in enumerate(product(self.lengths, self.byte_budgets, self.kappas)):
+            yield cell_id, n, b, k, segments_for_budget(n, b, k)
 
 
 # Frame elements formed at a time while ``build_pool`` takes each row's RMS.
@@ -628,31 +621,33 @@ def _training_subset(pool: SubsequencePool, mode: NormalizationMode, rng) -> np.
     return frames[np.arange(flat.size), flat % pool.segments]
 
 
-def _draw_pairs(pool: SubsequencePool, rngs, attempts: int = 1000):
+_PAIR_DRAWS = 1000  # draws a trial makes before it gives up
+
+
+def _draw_pairs(pool: SubsequencePool, rngs):
     """One pair of Z-normalized windows per generator, as two ``(trials, N)`` stacks.
 
-    Each trial draws two valid window starts at a time from its own generator
-    until they differ and their windows do not coincide.  All first draws are
-    normalized as one stack; only the rejected trials draw again.
+    Each round, every pending trial draws two valid window starts from its
+    own generator, and the drawn windows are normalized as one stack.  A
+    trial stays pending while its starts are equal or its windows coincide.
+    Later rounds fill the pending rows of the first round's stack.
     """
     candidates = np.flatnonzero(pool.valid)
     if candidates.size < 2:
         raise TooShortError("need at least two valid subsequences")
-    starts = candidates[np.array([rng.integers(0, candidates.size, size=2) for rng in rngs])]
-    pairs = pool.windows(starts.ravel()).reshape(len(rngs), 2, pool.length)
-    rejected = (starts[:, 0] == starts[:, 1]) | (_euclidean(pairs[:, 0], pairs[:, 1]) == 0.0)
-    for trial in np.flatnonzero(rejected):
-        for _ in range(attempts - 1):
-            ij = candidates[rngs[trial].integers(0, candidates.size, size=2)]
-            if ij[0] == ij[1]:
-                continue
-            pair = pool.windows(ij)
-            if _euclidean(pair[0], pair[1]) != 0.0:
-                pairs[trial] = pair
-                break
+    pairs, pending = None, np.arange(len(rngs))
+    for _ in range(_PAIR_DRAWS):
+        starts = candidates[np.array([rngs[t].integers(0, candidates.size, size=2) for t in pending])]
+        drawn = pool.windows(starts.ravel()).reshape(pending.size, 2, pool.length)
+        usable = (starts[:, 0] != starts[:, 1]) & (_euclidean(drawn[:, 0], drawn[:, 1]) != 0.0)
+        if pairs is None:
+            pairs = drawn
         else:
-            raise ZeroDistanceError(f"no usable pair after {attempts} draws")
-    return pairs[:, 0], pairs[:, 1]
+            pairs[pending[usable]] = drawn[usable]
+        pending = pending[~usable]
+        if not pending.size:
+            return pairs[:, 0], pairs[:, 1]
+    raise ZeroDistanceError(f"no usable pair after {_PAIR_DRAWS} draws")
 
 
 def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) -> list[dict]:
@@ -676,7 +671,7 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
     TooShortError
         If a cell's pool has fewer than two valid windows.
     ZeroDistanceError
-        If a trial finds no non-coinciding pair in 1000 draws.
+        If a trial finds no non-coinciding pair in ``_PAIR_DRAWS`` (1000) draws.
     """
     x = corpus.values if isinstance(corpus, TimeSeries) else np.asarray(corpus, dtype=float)
     methods = tuple(map(_encoding_method, methods))
@@ -719,18 +714,13 @@ def pivot_records(records, metric: str, kappa: int) -> list[dict]:
         raise InvalidParamsError(f"no records at kappa={kappa}")
     lengths = sorted({r["length"] for r in chosen})
     combos = sorted({(r["method"], r["bytes"]) for r in chosen}, key=lambda c: (c[1], c[0]))
-    out = []
-    for n in lengths:
-        row = {"length": n}
-        for method, budget in combos:
-            cell = [
-                r
-                for r in chosen
-                if r["length"] == n and r["method"] == method and r["bytes"] == budget
-            ]
-            row[f"{method}_{budget}B"] = cell[0][metric] if cell else float("nan")
-        out.append(row)
-    return out
+    # (length, method, bytes) -> the cell's first record, written last in reverse
+    first = {(r["length"], r["method"], r["bytes"]): r for r in reversed(chosen)}
+    absent = {metric: float("nan")}
+    return [
+        {"length": n, **{f"{m}_{b}B": first.get((n, m, b), absent)[metric] for m, b in combos}}
+        for n in lengths
+    ]
 
 
 # ---------------------------------------------------------------------------
