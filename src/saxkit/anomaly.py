@@ -177,10 +177,8 @@ class DetectorConfig:
     kappa: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "window", integral(self.window, "window"))
+        object.__setattr__(self, "window", integral(self.window, "window", minimum=1))
         object.__setattr__(self, "kappa", integral(self.kappa, "kappa"))
-        if self.window < 1:
-            raise InvalidParamsError(f"window must be >= 1, got {self.window}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidParamsError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.kappa < 2:

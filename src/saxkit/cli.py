@@ -24,7 +24,7 @@ from .codec import (
     encoder_to_json,
     fit,
 )
-from .errors import InvalidParamsError, ParseError, SaxkitError
+from .errors import InvalidParamsError, ParseError, SaxkitError, parse_json
 from .harness import (
     GENERATOR_PARAMS,
     METHOD_ORDER,
@@ -284,10 +284,7 @@ def _config_tokens(sub, path) -> list[str]:
     argparse checks it as it checks the flag.  ``null`` leaves the option out.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+        overrides = parse_json(fh.read(), path)
     if not isinstance(overrides, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     options = {a.dest: a for a in sub._actions if a.option_strings}

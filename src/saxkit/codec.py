@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .errors import (
     OutOfRangeError,
     SymbolOutOfRangeError,
     integral,
+    json_fields,
+    member,
+    parse_json,
 )
 from .meanshift import mean_shift_codebook
 from .series import NormalizationStats, PaaSeries, TimeSeries, _as_finite_array, _paa_rows, _row_stats
@@ -92,17 +95,16 @@ class EncoderSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "method", EncodingMethod(self.method))
+        object.__setattr__(self, "method", member(EncodingMethod, self.method, "method"))
         if self.normalization is None:
             object.__setattr__(self, "normalization", default_normalization(self.method))
         else:
-            object.__setattr__(self, "normalization", NormalizationMode(self.normalization))
-        segments = integral(self.segments, "segment count", OutOfRangeError)
-        if segments < 1:
-            raise OutOfRangeError(f"segment count must be >= 1, got {self.segments}")
+            normalization = member(NormalizationMode, self.normalization, "normalization")
+            object.__setattr__(self, "normalization", normalization)
+        segments = integral(self.segments, "segment count", OutOfRangeError, minimum=1)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "kappa", integral(self.kappa, "alphabet size", OutOfRangeError))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integral(self.seed, "seed", OutOfRangeError, minimum=0))
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class SymbolicSequence:
             raise SymbolOutOfRangeError(
                 f"symbols outside [0, {self.codebook.kappa})"
             )
-        n = int(self.source_length)
+        n = integral(self.source_length, "source length", OutOfRangeError)
         if n < arr.size or n % arr.size != 0:
             raise IndivisibleLengthError(
                 f"source length {n} is not a multiple of {arr.size} segments"
@@ -163,7 +165,8 @@ class SymbolicSequence:
 
     @classmethod
     def from_json(cls, text: str, codebook: Codebook) -> "SymbolicSequence":
-        payload = json.loads(text)
+        keys = ("n", "m", "kappa", "codebook_id", "symbols")
+        payload = json_fields(parse_json(text, "symbolic sequence"), "symbolic sequence", keys)
         if payload["codebook_id"] != codebook.digest:
             raise CodebookMismatchError(
                 f"sequence was encoded with codebook {payload['codebook_id']}, "
@@ -171,7 +174,7 @@ class SymbolicSequence:
             )
         return cls(
             symbols=np.asarray(payload["symbols"], dtype=np.int64),
-            source_length=int(payload["n"]),
+            source_length=payload["n"],
             codebook=codebook,
         )
 
@@ -303,17 +306,17 @@ def encoder_to_json(encoder: TrainedEncoder) -> str:
 
 
 def encoder_from_json(text: str) -> TrainedEncoder:
-    payload = json.loads(text)
-    raw = payload["spec"]
-    spec = EncoderSpec(
-        method=EncodingMethod(raw["method"]),
-        segments=int(raw["segments"]),
-        kappa=int(raw["kappa"]),
-        normalization=NormalizationMode(raw["normalization"]),
-        seed=int(raw["seed"]),
-    )
+    """The encoder that :func:`encoder_to_json` wrote as ``text``.
+
+    Text that is not JSON, or an object that lacks or adds a key, raises
+    ``ParseError``; the spec's values pass ``EncoderSpec``'s checks as given.
+    """
+    payload = json_fields(parse_json(text, "encoder"), "encoder", ("spec", "codebook", "stats"))
+    spec_keys = [f.name for f in fields(EncoderSpec)]
+    spec = EncoderSpec(**json_fields(payload["spec"], "encoder spec", spec_keys))
     codebook = Codebook.from_json(json.dumps(payload["codebook"]))
-    stats = payload.get("stats")
+    stats = payload["stats"]
     if stats is not None:
+        stats = json_fields(stats, "encoder stats", ("mean", "std"))
         stats = NormalizationStats(float(stats["mean"]), float(stats["std"]))
     return TrainedEncoder(spec, codebook, stats)

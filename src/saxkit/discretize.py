@@ -28,6 +28,9 @@ from .errors import (
     OutOfRangeError,
     SymbolOutOfRangeError,
     TooShortError,
+    json_fields,
+    member,
+    parse_json,
 )
 
 __all__ = [
@@ -132,15 +135,16 @@ class Codebook:
 
     @classmethod
     def from_json(cls, text: str) -> "Codebook":
-        payload = json.loads(text)
+        keys = ("method", "kappa", "cutlines", "centroids")
+        payload = json_fields(parse_json(text, "codebook"), "codebook", keys, optional=("modes",))
         modes = payload.get("modes")
         cb = cls(
-            method=CodebookMethod(payload["method"]),
+            method=member(CodebookMethod, payload["method"], "codebook method"),
             cutlines=np.asarray(payload["cutlines"], dtype=float),
             centroids=np.asarray(payload["centroids"], dtype=float),
             modes=None if modes is None else np.asarray(modes, dtype=float),
         )
-        if cb.kappa != int(payload["kappa"]):
+        if cb.kappa != payload["kappa"]:
             raise OutOfRangeError("kappa field disagrees with centroid count")
         return cb
 

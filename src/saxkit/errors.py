@@ -1,9 +1,11 @@
-"""Exception taxonomy shared by all saxkit modules.
+"""Exception taxonomy shared by all saxkit modules, and the checks that raise it.
 
 Every error raised on a violated precondition subclasses :class:`SaxkitError`,
 so callers can catch the whole family with one clause.  Most failures are
 value-level problems, hence the ``ValueError`` mixin.
 """
+
+import json
 
 
 class SaxkitError(Exception):
@@ -114,12 +116,48 @@ class NoNegativesError(SaxkitError, ValueError):
     """Labels contain no negative windows; ROC is undefined."""
 
 
-def integral(value, name: str, error: type[SaxkitError] = InvalidParamsError) -> int:
-    """``value`` as an int when it is a whole number, such as 30 or 30.0;
-    any other value, such as 30.9, raises ``error`` instead of truncating."""
+def integral(value, name: str, error: type[SaxkitError] = InvalidParamsError, minimum=None) -> int:
+    """``value`` as an int when it is a whole number, such as 30 or 30.0, of
+    at least ``minimum`` if one is given; any other value, such as 30.9,
+    raises ``error`` instead of truncating."""
     try:
-        if value == int(value):
-            return int(value)
+        whole = int(value)
+        exact = value == whole
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{name} must be a whole number, got {value!r}")
+        exact = False
+    if not exact:
+        raise error(f"{name} must be a whole number, got {value!r}")
+    if minimum is not None and whole < minimum:
+        raise error(f"{name} must be >= {minimum}, got {whole}")
+    return whole
+
+
+def parse_json(text: str, where: str):
+    """The value of the JSON ``text``; text that is not JSON raises ``ParseError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def json_fields(value, where: str, required, optional=()) -> dict:
+    """``value`` when it is a JSON object with every key of ``required`` and
+    no key outside ``required`` and ``optional``; else ``ParseError``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {value!r}")
+    missing = [key for key in required if key not in value]
+    unknown = [key for key in value if key not in required and key not in optional]
+    if missing or unknown:
+        problem = f"missing keys {missing}" if missing else f"unknown keys {unknown}"
+        raise ParseError(f"{where}: {problem}")
+    return value
+
+
+def member(kind, value, name: str):
+    """``kind(value)`` for the enum ``kind``; a value that names no member
+    raises ``InvalidParamsError`` listing the members."""
+    try:
+        return kind(value)
+    except ValueError:
+        valid = ", ".join(m.value for m in kind)
+        raise InvalidParamsError(f"unknown {name} {value!r}; expected one of {valid}") from None

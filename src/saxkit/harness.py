@@ -33,6 +33,7 @@ from .errors import (
     TooShortError,
     ZeroDistanceError,
     integral,
+    member,
 )
 from .metrics import _dist_error, _euclidean, _tlb
 from .series import TimeSeries, _row_stats
@@ -65,14 +66,6 @@ __all__ = [
 ]
 
 METHOD_ORDER = tuple(EncodingMethod)
-
-
-def _encoding_method(name) -> EncodingMethod:
-    try:
-        return EncodingMethod(name)
-    except ValueError:
-        valid = ", ".join(m.value for m in METHOD_ORDER)
-        raise InvalidParamsError(f"unknown method {name!r}; expected one of {valid}") from None
 
 
 @dataclass(frozen=True)
@@ -401,10 +394,8 @@ def generate_synthetic(kind: str, length: int, seed: int = 0, **params):
 
     The kinds, their parameters and defaults are ``GENERATOR_PARAMS``.
     """
-    length = integral(length, "length")
-    if length < 1:
-        raise InvalidParamsError(f"length must be >= 1, got {length}")
-    rng = np.random.default_rng(seed)
+    length = integral(length, "length", minimum=1)
+    rng = np.random.default_rng(integral(seed, "seed", minimum=0))
     if kind not in GENERATOR_PARAMS:
         raise InvalidParamsError(f"unknown generator kind: {kind!r}")
     defaults = GENERATOR_PARAMS[kind]
@@ -458,11 +449,10 @@ class ExperimentGrid:
         for axis in ("lengths", "byte_budgets", "kappas"):
             values = tuple(integral(v, axis) for v in getattr(self, axis))
             object.__setattr__(self, axis, values)
-        object.__setattr__(self, "trials", integral(self.trials, "trials"))
+        object.__setattr__(self, "trials", integral(self.trials, "trials", minimum=0))
+        object.__setattr__(self, "seed", integral(self.seed, "seed", minimum=0))
         if not self.lengths or not self.byte_budgets or not self.kappas:
             raise InvalidParamsError("grid axes must be non-empty")
-        if self.trials < 0:
-            raise InvalidParamsError(f"trials must be >= 0, got {self.trials}")
         list(self.cells())  # raises for the first infeasible cell
 
     def cells(self):
@@ -674,7 +664,7 @@ def run_tlb_rmse_experiment(corpus, grid: ExperimentGrid, methods=METHOD_ORDER) 
         If a trial finds no non-coinciding pair in ``_PAIR_DRAWS`` (1000) draws.
     """
     x = corpus.values if isinstance(corpus, TimeSeries) else np.asarray(corpus, dtype=float)
-    methods = tuple(map(_encoding_method, methods))
+    methods = tuple(member(EncodingMethod, m, "method") for m in methods)
     if len(set(methods)) != len(methods):
         raise InvalidParamsError("duplicate methods")
     if x.size < max(grid.lengths):
@@ -799,7 +789,8 @@ def run_fixed_detector(
     test.  Data-driven codebooks train on a square-root sized sample of the
     reduced stream.  Returns ``(events, codebook)``.
     """
-    method = _encoding_method(method)
+    method = member(EncodingMethod, method, "method")
+    seed = integral(seed, "seed", minimum=0)
     if method is EncodingMethod.CSAX:
         raise InvalidParamsError("the adaptive method has its own runner")
     x = np.asarray(values, dtype=float).ravel()

@@ -351,10 +351,29 @@ class TestConfigAndErrors:
     def test_missing_input_returns_two(self, tmp_path):
         assert run("detect", "--input", tmp_path / "absent.csv") == 2
 
-    def test_domain_errors_return_two(self, tmp_path):
+    def test_domain_errors_return_two(self, tmp_path, corpus_csv, labeled_csv, capsys):
         path = tmp_path / "short.csv"
         assert run("gen", "--kind", "gaussian_iid", "--length", 10, "--out", path) == 0
         assert run("detect", "--input", path, "--window", 50) == 2
+        # a subcommand that uses the seed refuses a negative one
+        for argv in (
+            ("gen", "--kind", "gaussian_iid", "--length", 100),
+            ("fit", "--input", corpus_csv, "--method", "asax", "--segments", 8),
+            ("tlb-rmse", "--input", corpus_csv, "--lengths", 16, "--bytes", 2, "--kappas", 16, "--trials", 2),
+            ("detect", "--input", labeled_csv, "--detector", "psax", "--window", 30),
+        ):
+            capsys.readouterr()
+            assert run(*argv, "--seed", -1) == 2
+            assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n", argv[0]
+        # an encoder file is checked like a config file
+        encoder = tmp_path / "encoder.json"
+        assert run("fit", "--input", corpus_csv, "--method", "sax", "--segments", 8, "--out", encoder) == 0
+        payload = json.loads(encoder.read_text())
+        for text in ("not json", json.dumps({**payload, "spec": {**payload["spec"], "segments": 8.9}})):
+            encoder.write_text(text)
+            capsys.readouterr()
+            assert run("encode", "--encoder", encoder, "--input", corpus_csv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def _assert_help(proc):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from saxkit.errors import (
     EmptyTrainingError,
     IndivisibleLengthError,
     InsufficientDistinctValuesError,
+    InvalidParamsError,
     OutOfRangeError,
+    ParseError,
     SymbolOutOfRangeError,
     TooShortError,
     ZeroDistanceError,
@@ -81,6 +84,11 @@ class TestSpecDefaults:
                 EncoderSpec(SAX, segments, kappa=kappa)
         spec = EncoderSpec(SAX, 8.0, kappa=np.float64(16.0))
         assert (spec.segments, spec.kappa) == (8, 16) and type(spec.segments) is int
+        # so is a seed, and it is >= 0
+        for seed in (2.7, -1, None):
+            with pytest.raises(OutOfRangeError, match="seed must be"):
+                EncoderSpec(SAX, 8, seed=seed)
+        assert EncoderSpec(SAX, 8, seed=3.0).seed == 3
 
 
 class TestFit:
@@ -369,6 +377,9 @@ class TestSymbolicSequence:
             SymbolicSequence(np.array([0, 1, 2]), 7, cb)
         with pytest.raises(OutOfRangeError):
             SymbolicSequence(np.array([], dtype=np.int64), 0, cb)
+        with pytest.raises(OutOfRangeError, match="source length must be a whole number"):
+            SymbolicSequence(np.array([0, 1]), 8.9, cb)
+        assert SymbolicSequence(np.array([0, 1]), 8.0, cb).source_length == 8
 
     def test_json_round_trip(self):
         cb = gaussian_equiprobable_codebook(4)
@@ -406,3 +417,25 @@ class TestEncoderJson:
         assert len(payload["codebook"]["centroids"]) == enc.codebook.kappa
         back = encoder_from_json(json.dumps(payload))
         assert back.codebook == enc.codebook
+
+    def test_malformed_files_are_refused(self):
+        payload = json.loads(encoder_to_json(fit(EncoderSpec(SAX, 8, kappa=10))))
+        spec, codebook = payload["spec"], payload["codebook"]
+        cases = [
+            ("not json", ParseError, "encoder: Expecting value"),
+            ({"spec": {"method": "SAX"}}, ParseError, "encoder: missing keys ['codebook', 'stats']"),
+            ({**payload, "extra": 1}, ParseError, "encoder: unknown keys ['extra']"),
+            ({**payload, "spec": {"method": "SAX"}}, ParseError, "encoder spec: missing keys ['segments',"),
+            ({**payload, "codebook": {**codebook, "modes": [0.0], "x": 1}}, ParseError, "unknown keys ['x']"),
+            ({**payload, "stats": [0.0, 1.0]}, ParseError, "encoder stats: expected a JSON object"),
+            # values pass the spec's and the codebook's checks as given
+            ({**payload, "spec": {**spec, "segments": 8.9}}, OutOfRangeError, "segment count must be a whole"),
+            ({**payload, "spec": {**spec, "seed": -1}}, OutOfRangeError, "seed must be >= 0"),
+            ({**payload, "spec": {**spec, "method": "FOO"}}, InvalidParamsError, "unknown method 'FOO'"),
+            ({**payload, "codebook": {**codebook, "kappa": 10.7}}, OutOfRangeError, "kappa field disagrees"),
+        ]
+        for text, error, message in cases:
+            text = text if isinstance(text, str) else json.dumps(text)
+            with pytest.raises(error, match=re.escape(message)):
+                encoder_from_json(text)
+        assert encoder_from_json(json.dumps({**payload, "spec": {**spec, "segments": 8.0}})).spec.segments == 8

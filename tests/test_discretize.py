@@ -119,9 +119,10 @@ class TestCodebookValidation:
 
     def test_json_kappa_mismatch_rejected(self):
         payload = json.loads(gaussian_equiprobable_codebook(3).to_json())
-        payload["kappa"] = 4
-        with pytest.raises(OutOfRangeError):
-            Codebook.from_json(json.dumps(payload))
+        for kappa in (4, 3.5):
+            payload["kappa"] = kappa
+            with pytest.raises(OutOfRangeError):
+                Codebook.from_json(json.dumps(payload))
 
 
 class TestGaussianEquiprobable:

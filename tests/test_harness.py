@@ -399,6 +399,10 @@ class TestGenerators:
             generate_synthetic("gaussian_iid", 100, phi=0.5)
         with pytest.raises(InvalidParamsError):
             generate_synthetic("gaussian_iid", 0)
+        # a seed is a whole number >= 0; None is not an unseeded run
+        for seed in (-1, 2.7, None):
+            with pytest.raises(InvalidParamsError, match="seed must be"):
+                generate_synthetic("gaussian_iid", 100, seed=seed)
         with pytest.raises(InvalidParamsError):
             generate_synthetic("bimodal_mixture", 100, weight=1.5)
         with pytest.raises(InvalidParamsError):
@@ -449,7 +453,14 @@ class TestGrid:
             ExperimentGrid(lengths=(480,), byte_budgets=(8,), kappas=(16,), trials=-1)
         # counts are whole numbers: 480.9 is refused, not truncated to 480
         good = {"lengths": (480,), "byte_budgets": (8,), "kappas": (16,)}
-        for bad in ({"lengths": (480.9,)}, {"byte_budgets": (8.5,)}, {"kappas": (16.2,)}, {"trials": 2.5}):
+        for bad in (
+            {"lengths": (480.9,)},
+            {"byte_budgets": (8.5,)},
+            {"kappas": (16.2,)},
+            {"trials": 2.5},
+            {"seed": 2.7},
+            {"seed": -1},
+        ):
             with pytest.raises(InvalidParamsError):
                 ExperimentGrid(**{**good, **bad})
         grid = ExperimentGrid(lengths=(480.0,), byte_budgets=(8.0,), kappas=(16.0,), trials=2.0)
@@ -822,6 +833,9 @@ class TestFixedDetector:
         stream = generate_synthetic("gaussian_iid", 200, seed=14)
         with pytest.raises(InvalidParamsError):
             run_fixed_detector(stream.values, EncodingMethod.SAX, paa_ratio=0.3)
+        for seed in (-1, 2.7, None):
+            with pytest.raises(InvalidParamsError, match="seed must be"):
+                run_fixed_detector(stream.values, EncodingMethod.PSAX, seed=seed)
         for method in (EncodingMethod.SAX, EncodingMethod.ASAX, EncodingMethod.PSAX):
             for bad in ([np.nan], [1.0, np.inf]):
                 with pytest.raises(OutOfRangeError, match="finite"):
